@@ -453,7 +453,7 @@ class _Checker:
         for ei in incident:
             if len(nonzero) == 1 and nonzero[0] == ei and cur_row[ei] == game.budgets[v]:
                 continue  # already concentrated there
-            yield self._concentrate(v, ei), nonzero + [ei]
+            yield self._concentrate(v, ei), nonzero if ei in nonzero else nonzero + [ei]
         if game.mode == ATMOST and idle > 0:
             for ei in incident:
                 for t in self._grid():

@@ -323,6 +323,60 @@ def test_exact_pe_also_atmost_pe():
         assert is_pairwise_equilibrium(relaxed_game, profile).is_equilibrium, seed
 
 
+def spread_profile(game):
+    """Every node spreads its budget evenly over its incident edges: all of
+    it in exact mode, half of it in atmost mode."""
+    rows = [[F(0)] * len(game.graph.edges) for _ in range(game.graph.n)]
+    part = 1 if game.mode == EXACT else F(1, 2)
+    for v in range(game.graph.n):
+        incident = game.graph.incident_edges[v]
+        for ei in incident:
+            rows[v][ei] = part * game.budgets[v] / len(incident)
+    return StrategyProfile.build(game, rows)
+
+
+def witness_chain(game, profile, steps, grid_k):
+    """Follow improving deviations from a profile, as the local search does;
+    yields each profile together with its verdict."""
+    for _ in range(steps):
+        verdict = is_pairwise_equilibrium(game, profile, grid_k=grid_k)
+        yield profile, verdict
+        if verdict.witness is None:
+            return
+        rows = [list(r) for r in profile.alloc]
+        for node, row in zip(verdict.witness.nodes, verdict.witness.new_rows):
+            rows[node] = list(row)
+        profile = StrategyProfile.build(game, rows)
+
+
+CHAIN_KINDS = ((ATMOST, "equal"), (ATMOST, "matthew"), (ATMOST, "proportional"), (EXACT, "equal"))
+
+
+def test_witnesses_improve_under_full_recomputation():
+    # Each witness's movers must strictly gain when the deviation is applied
+    # to the whole profile, by exactly the reported utilities.
+    witnesses = 0
+    for seed in range(6):
+        for mode, split in CHAIN_KINDS:
+            game = gen_random_ccg(seed=seed, n=5, density=0.6, split=split, mode=mode, alpha=(F(1, 2),))
+            if not game.graph.edges:
+                continue
+            for profile, verdict in witness_chain(game, spread_profile(game), 6, grid_k=4):
+                w = verdict.witness
+                if w is None:
+                    continue
+                rows = [list(r) for r in profile.alloc]
+                for node, row in zip(w.nodes, w.new_rows):
+                    rows[node] = list(row)
+                before = perceived_utilities(game, profile)
+                after = perceived_utilities(game, StrategyProfile.build(game, rows))
+                assert w.utilities_before == tuple(before[v] for v in w.nodes), (seed, split)
+                assert w.utilities_after == tuple(after[v] for v in w.nodes), (seed, split)
+                assert all(after[v] > before[v] for v in w.nodes), (seed, split)
+                witnesses += 1
+    assert witnesses >= 100
+
+
 def test_checker_deltas_match_full_recomputation():
     # The checker evaluates candidate deviations through reward deltas over
     # touched edges; rebuilding the whole profile must give identical
