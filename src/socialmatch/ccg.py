@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Optional, Sequence
 
 from .instance import (
     ZERO,
@@ -143,28 +144,37 @@ class ContributionGame:
     def all_equal_split(self) -> bool:
         return all(s == SPLIT_EQUAL for s in self.splits)
 
-    def share(self, ei: int, endpoint: int, x_u: Fraction, x_v: Fraction) -> Fraction:
-        """Reward share of one endpoint given both contributions; shares sum to the total."""
+    def _fraction_u(self, ei: int, x_u: Fraction, x_v: Fraction) -> Fraction:
+        """Endpoint u's fraction of the edge total under a matthew or proportional split."""
         u, v = self.graph.edges[ei]
-        total = self.functions[ei].total(x_u, x_v)
-        split = self.splits[ei]
-        if split == SPLIT_EQUAL:
-            return total / 2
-        if split == SPLIT_MATTHEW:
+        if self.splits[ei] == SPLIT_MATTHEW:
             lu, lv = self.lam[u], self.lam[v]  # type: ignore[index]
-            frac = lu / (lu + lv) if endpoint == u else lv / (lu + lv)
-            return frac * total
+            return lu / (lu + lv)
         if x_u + x_v == 0:
             return ZERO
-        frac = x_u / (x_u + x_v) if endpoint == u else x_v / (x_u + x_v)
-        return frac * total
+        return x_u / (x_u + x_v)
+
+    def share(self, ei: int, endpoint: int, x_u: Fraction, x_v: Fraction) -> Fraction:
+        """Reward share of one endpoint given both contributions; shares sum to the total."""
+        total = self.functions[ei].total(x_u, x_v)
+        if self.splits[ei] == SPLIT_EQUAL:
+            return total / 2
+        frac = self._fraction_u(ei, x_u, x_v)
+        return frac * total if endpoint == self.graph.edges[ei][0] else (1 - frac) * total
+
+    def endpoint_rewards(self, ei: int, x_u: Fraction, x_v: Fraction) -> tuple[Fraction, Fraction]:
+        """Node-level rewards of both endpoints, in the same convention as the
+        matching side: equal splits pay the full edge reward to both endpoints."""
+        total = self.functions[ei].total(x_u, x_v)
+        if self.splits[ei] == SPLIT_EQUAL:
+            return total, total
+        r_u = self._fraction_u(ei, x_u, x_v) * total
+        return r_u, total - r_u
 
     def endpoint_reward(self, ei: int, endpoint: int, x_u: Fraction, x_v: Fraction) -> Fraction:
-        """Node-level reward in the same convention as the matching side:
-        equal splits pay the full edge reward to both endpoints."""
-        if self.splits[ei] == SPLIT_EQUAL:
-            return self.functions[ei].total(x_u, x_v)
-        return self.share(ei, endpoint, x_u, x_v)
+        """Node-level reward of one endpoint; see ``endpoint_rewards``."""
+        r_u, r_v = self.endpoint_rewards(ei, x_u, x_v)
+        return r_u if endpoint == self.graph.edges[ei][0] else r_v
 
 
 @dataclass(frozen=True)
@@ -228,8 +238,9 @@ def node_rewards(game: ContributionGame, profile: StrategyProfile) -> tuple[Frac
         x_u, x_v = profile.contributions(game, ei)
         if x_u == 0 and x_v == 0:
             continue
-        rewards[u] += game.endpoint_reward(ei, u, x_u, x_v)
-        rewards[v] += game.endpoint_reward(ei, v, x_u, x_v)
+        r_u, r_v = game.endpoint_rewards(ei, x_u, x_v)
+        rewards[u] += r_u
+        rewards[v] += r_v
     return tuple(rewards)
 
 
@@ -375,187 +386,206 @@ class PEVerdict:
 
 
 class _Checker:
-    """Deviation enumeration against a profile, evaluating utility deltas
-    only over the edges a candidate move touches."""
+    """Deviation enumeration against a profile, on an integer grid.
+
+    Every candidate contribution is an integer multiple of ``1/scale``, where
+    ``scale`` is the lcm of the denominators of the profile entries and the
+    budgets, times K: transfers ``t*x`` with ``t = i/K``, the ``(1-t)``
+    rescalings and full-budget concentrations all stay on it.  Candidate rows
+    are therefore ``int`` lists.  Rewards stay exact ``Fraction``s, since a
+    proportional split's denominator changes with every candidate.
+
+    An observer's utility change is a sum of per-edge terms, and only edges
+    whose contributions change have a nonzero term.  Two movers share at most
+    their common edge, so each mover's other edges are summed once per
+    candidate row and the common edge once per pair of rows.
+    """
 
     def __init__(self, game: ContributionGame, profile: StrategyProfile, grid_k: int):
         self.game = game
-        self.profile = profile
         self.k = grid_k
-        self.rewards = node_rewards(game, profile)
+        denominators = [x.denominator for row in profile.alloc for x in row]
+        denominators += [b.denominator for b in game.budgets]
+        self.scale = lcm(*denominators) * grid_k
+        self.alloc = [[self._to_int(x) for x in row] for row in profile.alloc]
+        self.budgets = [self._to_int(b) for b in game.budgets]
         self.utilities = perceived_utilities(game, profile)
-        self._reward_cache: dict[tuple[int, int, Fraction, Fraction], Fraction] = {}
+        self.alpha1 = game.friendship.alpha1
+        self.current: list[tuple[Fraction, Fraction]] = []
+        # (edge, X_u, X_v) -> (reward change of u, of v, utility change of u, of v)
+        self._gains: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction, Fraction]] = {}
+        for ei, (u, v) in enumerate(game.graph.edges):
+            x_u, x_v = profile.contributions(game, ei)
+            self.current.append(game.endpoint_rewards(ei, x_u, x_v))
+            self._gains[(ei, self.alloc[u][ei], self.alloc[v][ei])] = (ZERO, ZERO, ZERO, ZERO)
 
-    def _endpoint_reward(self, ei: int, node: int, x_u: Fraction, x_v: Fraction) -> Fraction:
-        key = (ei, node, x_u, x_v)
-        cached = self._reward_cache.get(key)
-        if cached is None:
-            cached = self.game.endpoint_reward(ei, node, x_u, x_v)
-            self._reward_cache[key] = cached
-        return cached
+    def _to_int(self, x: Fraction) -> int:
+        return x.numerator * (self.scale // x.denominator)
 
-    def _delta(
-        self,
-        rows: dict[int, Sequence[Fraction]],
-        touched: Iterable[int],
-        observers: tuple[int, ...],
-    ) -> list[Fraction]:
-        """Perceived-utility deltas for the observers under replaced allocation rows.
+    def to_fractions(self, row: Sequence[int]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.scale) for x in row)
 
-        ``touched`` lists the edges a candidate may have modified; unchanged
-        entries are harmless.
-        """
+    def _gain(self, ei: int, x_u: int, x_v: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """Reward changes of edge ei's endpoints at contributions (x_u, x_v),
+        and what they change in the endpoints' own utilities."""
+        key = (ei, x_u, x_v)
+        gain = self._gains.get(key)
+        if gain is None:
+            r_u, r_v = self.current[ei]
+            new_u, new_v = self.game.endpoint_rewards(ei, Fraction(x_u, self.scale), Fraction(x_v, self.scale))
+            d_u, d_v = new_u - r_u, new_v - r_v
+            a = self.alpha1
+            gain = self._gains[key] = (d_u, d_v, d_u + a * d_v, d_v + a * d_u)
+        return gain
+
+    def _side(self, v: int, row: Sequence[int], skip: Optional[int], observers: tuple[int, ...]) -> list[Fraction]:
+        """Utility changes of the observers from v's allocation row on v's
+        incident edges other than ``skip``."""
         game = self.game
-        reward_delta: dict[int, Fraction] = {}
-        for ei in touched:
-            u, v = game.graph.edges[ei]
-            old_u, old_v = self.profile.contributions(game, ei)
-            new_u = rows[u][ei] if u in rows else old_u
-            new_v = rows[v][ei] if v in rows else old_v
-            for node in (u, v):
-                before = self._endpoint_reward(ei, node, old_u, old_v)
-                after = self._endpoint_reward(ei, node, new_u, new_v)
-                if after != before:
-                    reward_delta[node] = reward_delta.get(node, ZERO) + after - before
-        out = []
-        for w in observers:
-            row = self.game.alpha_matrix[w]
-            d = reward_delta.get(w, ZERO)
-            for x, dx in reward_delta.items():
-                if x != w:
-                    d += row[x] * dx
-            out.append(d)
-        return out
+        cur = self.alloc[v]
+        sums = [ZERO] * len(observers)
+        for ej in game.graph.incident_edges[v]:
+            if ej == skip or row[ej] == cur[ej]:
+                continue
+            a, b = game.graph.edges[ej]
+            if a == v:
+                gain = self._gain(ej, row[ej], self.alloc[b][ej])
+            else:
+                gain = self._gain(ej, self.alloc[a][ej], row[ej])
+            for i, w in enumerate(observers):
+                if w == a:
+                    sums[i] += gain[2]
+                elif w == b:
+                    sums[i] += gain[3]
+                else:
+                    alpha = game.alpha_matrix[w]
+                    sums[i] += alpha[a] * gain[0] + alpha[b] * gain[1]
+        return sums
 
     # -- candidate generators -------------------------------------------
 
-    def _grid(self) -> list[Fraction]:
-        return [Fraction(i, self.k) for i in range(1, self.k + 1)]
-
-    def _row_of(self, v: int) -> list[Fraction]:
-        return list(self.profile.alloc[v])
-
-    def _concentrate(self, v: int, ei: int) -> list[Fraction]:
-        row = [ZERO] * len(self.game.graph.edges)
-        row[ei] = self.game.budgets[v]
+    def _concentrate(self, v: int, ei: int) -> list[int]:
+        row = [0] * len(self.game.graph.edges)
+        row[ei] = self.budgets[v]
         return row
 
     def unilateral(self, v: int):
-        """Yield (row, touched edges) candidates for a single node."""
+        """Yield the candidate rows of a single node."""
         game = self.game
+        k = self.k
         incident = game.graph.incident_edges[v]
-        if not incident or game.budgets[v] == 0:
+        budget = self.budgets[v]
+        if not incident or budget == 0:
             return
-        cur_row = self.profile.alloc[v]
-        nonzero = [ei for ei in incident if cur_row[ei] != 0]
-        spent = sum((cur_row[ei] for ei in nonzero), ZERO)
-        idle = game.budgets[v] - spent
+        cur = self.alloc[v]
+        nonzero = [ei for ei in incident if cur[ei] != 0]
+        idle = budget - sum(cur[ei] for ei in nonzero)
         for ei in incident:
-            if len(nonzero) == 1 and nonzero[0] == ei and cur_row[ei] == game.budgets[v]:
+            if nonzero == [ei] and cur[ei] == budget:
                 continue  # already concentrated there
-            yield self._concentrate(v, ei), nonzero if ei in nonzero else nonzero + [ei]
+            yield self._concentrate(v, ei)
         if game.mode == ATMOST and idle > 0:
             for ei in incident:
-                for t in self._grid():
-                    row = self._row_of(v)
-                    row[ei] += t * idle
-                    yield row, [ei]
+                for i in range(1, k + 1):
+                    row = list(cur)
+                    row[ei] += i * idle // k
+                    yield row
         for e_from in nonzero:
-            cur = cur_row[e_from]
             for e_to in incident:
                 if e_to == e_from:
                     continue
-                for t in self._grid():
-                    row = self._row_of(v)
-                    row[e_from] -= t * cur
-                    row[e_to] += t * cur
-                    yield row, [e_from, e_to]
+                for i in range(1, k + 1):
+                    moved = i * cur[e_from] // k
+                    row = list(cur)
+                    row[e_from] -= moved
+                    row[e_to] += moved
+                    yield row
             if game.mode == ATMOST:
-                for t in self._grid():
-                    row = self._row_of(v)
-                    row[e_from] -= t * cur
-                    yield row, [e_from]
+                for i in range(1, k + 1):
+                    row = list(cur)
+                    row[e_from] -= i * cur[e_from] // k
+                    yield row
 
-    def _pull_toward(self, v: int, ei: int, t: Fraction) -> tuple[list[Fraction], list[int]]:
-        """Scale v's other allocations by (1-t) and add the freed budget to ei."""
-        row = self._row_of(v)
-        touched = [ei]
-        freed = ZERO
+    def _pull_toward(self, v: int, ei: int, i: int) -> list[int]:
+        """Scale v's other allocations by (1-t), t = i/K, and add the freed budget to ei."""
+        k = self.k
+        cur = self.alloc[v]
+        row = list(cur)
+        freed = 0
         for ej in self.game.graph.incident_edges[v]:
-            if ej != ei and row[ej] != 0:
-                freed += t * row[ej]
-                row[ej] -= t * row[ej]
-                touched.append(ej)
+            if ej != ei and cur[ej] != 0:
+                moved = i * cur[ej] // k
+                freed += moved
+                row[ej] -= moved
         if self.game.mode == ATMOST:
-            spent = sum((self.profile.alloc[v][e] for e in self.game.graph.incident_edges[v]), ZERO)
-            freed += t * (self.game.budgets[v] - spent)
+            freed += i * (self.budgets[v] - sum(cur[e] for e in self.game.graph.incident_edges[v])) // k
         row[ei] += freed
-        return row, touched
+        return row
 
-    def check(self) -> Optional[DeviationWitness]:
+    def _pair_moves(self, kind: str, u: int, v: int, shared: Optional[int], rows_u: list, rows_v: list):
+        """Candidates pairing each row of u with each row of v, except the
+        pair leaving both rows as they are.
+
+        ``shared`` is the edge of u and v, if any: the only edge that both
+        rows can change.
+        """
+        observers = (u, v)
+        sides_u = [self._side(u, row, shared, observers) for row in rows_u]
+        sides_v = [self._side(v, row, shared, observers) for row in rows_v]
+        cur_u, cur_v = self.alloc[u], self.alloc[v]
+        for row_u, (uu, uv) in zip(rows_u, sides_u):
+            for row_v, (vu, vv) in zip(rows_v, sides_v):
+                if row_u == cur_u and row_v == cur_v:
+                    continue
+                du, dv = uu + vu, uv + vv
+                if shared is not None:
+                    gain = self._gain(shared, row_u[shared], row_v[shared])
+                    du += gain[2]
+                    dv += gain[3]
+                yield kind, observers, (row_u, row_v), (du, dv)
+
+    def moves(self):
+        """Yield (kind, nodes, int rows, utility changes of the nodes) for
+        every candidate deviation, in certification order."""
         game = self.game
+        n = game.graph.n
+        incident = game.graph.incident_edges
         # Unilateral moves.
-        for v in range(game.graph.n):
-            for row, touched in self.unilateral(v):
-                (d,) = self._delta({v: row}, touched, (v,))
-                if d > 0:
-                    return DeviationWitness(
-                        kind="unilateral",
-                        nodes=(v,),
-                        new_rows=(tuple(row),),
-                        utilities_before=(self.utilities[v],),
-                        utilities_after=(self.utilities[v] + d,),
-                    )
+        for v in range(n):
+            for row in self.unilateral(v):
+                yield "unilateral", (v,), (row,), tuple(self._side(v, row, None, (v,)))
         # Bilateral moves onto a common edge.
-        grid0 = [ZERO] + self._grid()
+        steps = range(self.k + 1)
         for ei, (u, v) in enumerate(game.graph.edges):
-            if game.budgets[u] == 0 or game.budgets[v] == 0:
+            if self.budgets[u] == 0 or self.budgets[v] == 0:
                 continue
-            pulls_u = [self._pull_toward(u, ei, t) if t > 0 else (self._row_of(u), []) for t in grid0]
-            pulls_v = [self._pull_toward(v, ei, t) if t > 0 else (self._row_of(v), []) for t in grid0]
-            for i1, (row_u, touched_u) in enumerate(pulls_u):
-                for i2, (row_v, touched_v) in enumerate(pulls_v):
-                    if i1 == 0 and i2 == 0:
-                        continue
-                    du, dv = self._delta(
-                        {u: row_u, v: row_v}, set(touched_u) | set(touched_v), (u, v)
-                    )
-                    if du > 0 and dv > 0:
-                        return DeviationWitness(
-                            kind="bilateral",
-                            nodes=(u, v),
-                            new_rows=(tuple(row_u), tuple(row_v)),
-                            utilities_before=(self.utilities[u], self.utilities[v]),
-                            utilities_after=(self.utilities[u] + du, self.utilities[v] + dv),
-                        )
+            rows_u = [self._pull_toward(u, ei, i) for i in steps]
+            rows_v = [self._pull_toward(v, ei, i) for i in steps]
+            yield from self._pair_moves("bilateral", u, v, ei, rows_u, rows_v)
         # Exact mode: pairs moving their full budgets to two distinct edges.
         if game.mode == EXACT:
-            for u in range(game.graph.n):
-                nonzero_u = [ei for ei in game.graph.incident_edges[u] if self.profile.alloc[u][ei] != 0]
-                for v in range(u + 1, game.graph.n):
-                    if game.budgets[u] == 0 or game.budgets[v] == 0:
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if self.budgets[u] == 0 or self.budgets[v] == 0:
                         continue
-                    nonzero_v = [ei for ei in game.graph.incident_edges[v] if self.profile.alloc[v][ei] != 0]
-                    for e3 in game.graph.incident_edges[u]:
-                        for e4 in game.graph.incident_edges[v]:
-                            if e3 == e4:
-                                continue
-                            row_u = self._concentrate(u, e3)
-                            row_v = self._concentrate(v, e4)
-                            if tuple(row_u) == tuple(self.profile.alloc[u]) and tuple(row_v) == tuple(
-                                self.profile.alloc[v]
-                            ):
-                                continue
-                            touched = set(nonzero_u) | set(nonzero_v) | {e3, e4}
-                            du, dv = self._delta({u: row_u, v: row_v}, touched, (u, v))
-                            if du > 0 and dv > 0:
-                                return DeviationWitness(
-                                    kind="pair-split",
-                                    nodes=(u, v),
-                                    new_rows=(tuple(row_u), tuple(row_v)),
-                                    utilities_before=(self.utilities[u], self.utilities[v]),
-                                    utilities_after=(self.utilities[u] + du, self.utilities[v] + dv),
-                                )
+                    shared = game.graph.edge_index.get((u, v))
+                    rows_u = [self._concentrate(u, e) for e in incident[u]]
+                    rows_v = [self._concentrate(v, e) for e in incident[v]]
+                    for move in self._pair_moves("pair-split", u, v, shared, rows_u, rows_v):
+                        _, _, (row_u, row_v), _ = move
+                        if shared is None or not (row_u[shared] and row_v[shared]):
+                            yield move  # both moving onto the shared edge is bilateral
+
+    def check(self) -> Optional[DeviationWitness]:
+        for kind, nodes, rows, deltas in self.moves():
+            if all(d > 0 for d in deltas):
+                return DeviationWitness(
+                    kind=kind,
+                    nodes=nodes,
+                    new_rows=tuple(self.to_fractions(row) for row in rows),
+                    utilities_before=tuple(self.utilities[v] for v in nodes),
+                    utilities_after=tuple(self.utilities[v] + d for v, d in zip(nodes, deltas)),
+                )
         return None
 
 

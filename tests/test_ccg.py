@@ -378,35 +378,39 @@ def test_witnesses_improve_under_full_recomputation():
 
 
 def test_checker_deltas_match_full_recomputation():
-    # The checker evaluates candidate deviations through reward deltas over
-    # touched edges; rebuilding the whole profile must give identical
-    # perceived-utility changes.
+    # The checker sums each candidate's utility changes per edge over integer
+    # contributions; applying the candidate rows to the whole profile and
+    # recomputing perceived utilities must give identical changes.  Profiles
+    # are partly allocated (an even spread and the local-search states that
+    # follow it), and every move class and every node is sampled.
     from socialmatch.ccg import _Checker
 
-    for seed in range(6):
-        for mode in (ATMOST, EXACT):
+    kinds = set()
+    for seed in range(5):
+        for mode, split in CHAIN_KINDS:
             game = gen_random_ccg(
-                seed=seed, n=5, density=0.6, families=("product", "min"),
-                split=("equal", "proportional")[seed % 2], mode=mode, alpha=(F(1, 2),),
+                seed=seed, n=5, density=0.6, families=("product", "min", "powprod"),
+                split=split, mode=mode, alpha=(F(1, 2), F(1, 4)),
             )
             if not game.graph.edges:
                 continue
-            profile = tight_social_optimum(game)
-            checker = _Checker(game, profile, grid_k=4)
-            before = perceived_utilities(game, profile)
-            samples = 0
-            for v in range(game.graph.n):
-                for row, touched in checker.unilateral(v):
-                    (d,) = checker._delta({v: row}, touched, (v,))
-                    rows = [list(r) for r in profile.alloc]
-                    rows[v] = list(row)
-                    after = perceived_utilities(game, StrategyProfile.build(game, rows))
-                    assert after[v] - before[v] == d
-                    samples += 1
-                    if samples >= 25:
-                        break
-                if samples >= 25:
-                    break
+            movers = {v for v in range(game.graph.n) if game.graph.incident_edges[v]}
+            for profile, _ in witness_chain(game, spread_profile(game), 3, grid_k=4):
+                checker = _Checker(game, profile, grid_k=4)
+                before = perceived_utilities(game, profile)
+                sampled = set()
+                for i, (kind, nodes, rows, deltas) in enumerate(checker.moves()):
+                    if i % 5:
+                        continue
+                    new_rows = [list(r) for r in profile.alloc]
+                    for node, row in zip(nodes, rows):
+                        new_rows[node] = list(checker.to_fractions(row))
+                    after = perceived_utilities(game, StrategyProfile.build(game, new_rows))
+                    assert deltas == tuple(after[v] - before[v] for v in nodes), (seed, split, kind, nodes)
+                    kinds.add(kind)
+                    sampled.update(nodes)
+                assert sampled == movers, (seed, split)
+    assert kinds == {"unilateral", "bilateral", "pair-split"}
 
 
 def test_ccg_audit_single_edge():
