@@ -687,6 +687,7 @@ class CCGAuditReport:
     worst_ratio: Optional[Fraction]
     Q: Fraction
     bound: Fraction
+    checked: bool  # False when no equilibrium was certified; passed is then False too
     passed: bool
 
     def to_dict(self) -> dict:
@@ -697,6 +698,7 @@ class CCGAuditReport:
             "worst_ratio": None if self.worst_ratio is None else rat_str(self.worst_ratio),
             "Q": rat_str(self.Q),
             "bound": rat_str(self.bound),
+            "checked": self.checked,
             "passed": self.passed,
         }
 
@@ -726,7 +728,11 @@ def ccg_audit(
     grid_k: int = DEFAULT_GRID_K,
 ) -> CCGAuditReport:
     """Compare every grid-certified equilibrium we can construct against the
-    tight social optimum and flag violations of the anarchy bound 1+Q."""
+    tight social optimum and flag violations of the anarchy bound 1+Q.
+
+    An audit that certifies no equilibrium is reported as unchecked, and
+    not as passed.
+    """
     instance = corresponding_matching_game(game)
     _, optimum = max_weight_matching(instance, max_n=exact_max_n)
     q_param = compute_Q(instance)
@@ -750,7 +756,8 @@ def ccg_audit(
             sources.append(source)
 
     worst: Optional[Fraction] = None
-    passed = True
+    checked = bool(values)
+    passed = checked
     for value in values:
         if value <= 0:
             passed = False
@@ -767,6 +774,7 @@ def ccg_audit(
         worst_ratio=worst,
         Q=q_param,
         bound=1 + q_param,
+        checked=checked,
         passed=passed,
     )
 

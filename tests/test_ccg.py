@@ -417,7 +417,20 @@ def test_ccg_audit_single_edge():
     report = ccg_audit(single_edge_game())
     assert report.optimum == 1
     assert report.worst_ratio == 1
-    assert report.passed
+    assert report.checked and report.passed
+
+
+def test_ccg_audit_without_equilibria_is_unchecked():
+    # Min rewards are not convex: here the one stable matching, saturated, is
+    # not an equilibrium and the local search gives up, so nothing is certified.
+    game = gen_random_ccg(seed=0, n=5, density=0.7, families=("min",), split="matthew")
+    report = ccg_audit(game)
+    assert report.equilibrium_values == ()
+    assert report.worst_ratio is None
+    assert not report.checked
+    assert not report.passed
+    doc = report.to_dict()
+    assert doc["checked"] is False and doc["passed"] is False
 
 
 @pytest.mark.parametrize("split,families", [("equal", ("product", "powprod")), ("matthew", ("product",))])
