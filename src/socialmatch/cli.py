@@ -188,23 +188,23 @@ def cmd_audit(args) -> int:
 
 def cmd_dynamics(args) -> int:
     instance = _load_instance(args)
-    if args.start == "opt":
-        start, _ = max_weight_matching(instance, max_n=args.max_n)
-    elif args.start == "empty":
-        start = Matching.empty(instance.graph.n)
-    else:
-        start = Matching.from_dict(json.loads(_read(args.start)), instance.graph.n)
-
-    cap = args.cap if args.cap is not None else 1_000_000
     if args.method == "brbp":
+        if args.start is not None:
+            print("--start does not apply to --method brbp, which starts from the optimum", file=sys.stderr)
+            return EXIT_ERROR
         _, trace = run_brbp(instance, exact_max_n=args.max_n, cap=args.cap)
-    elif args.method == "bbp":
-        _, trace = run_best_blocking_pair(instance, start, cap=cap)
-    elif args.method == "arbitrary":
-        _, trace = run_arbitrary_dynamics(instance, start, args.seed, cap=cap)
     else:
-        print(f"unknown method {args.method!r}", file=sys.stderr)
-        return EXIT_ERROR
+        if args.start in (None, "opt"):
+            start, _ = max_weight_matching(instance, max_n=args.max_n)
+        elif args.start == "empty":
+            start = Matching.empty(instance.graph.n)
+        else:
+            start = Matching.from_dict(json.loads(_read(args.start)), instance.graph.n)
+        cap = args.cap if args.cap is not None else 1_000_000
+        if args.method == "bbp":
+            _, trace = run_best_blocking_pair(instance, start, cap=cap)
+        else:
+            _, trace = run_arbitrary_dynamics(instance, start, args.seed, cap=cap)
     sys.stdout.write(trace.to_jsonl())
     if args.method == "brbp":
         lemmas = assert_trace_lemmas(trace)
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="run improvement dynamics, stream the trace")
     common(p)
     p.add_argument("--method", choices=("brbp", "bbp", "arbitrary"), default="brbp")
-    p.add_argument("--start", default="opt", help="'opt', 'empty', or a matching JSON path")
+    p.add_argument("--start", help="'opt' (default), 'empty', or a matching JSON path; not with brbp")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_dynamics)

@@ -96,10 +96,11 @@ def _best_pair(
     instance: GameInstance, matching: Matching, relaxed: bool
 ) -> Optional[Edge]:
     best: Optional[tuple] = None
+    partner = matching.partner_map
     for u, v in instance.graph.edges:
-        if matching.partner(u) == v:
+        if partner[u] == v:
             continue
-        if _pair_check(instance, matching, u, v, relaxed).blocking:
+        if _pair_check(instance, partner, u, v, relaxed):
             r = instance.edge_reward(u, v)
             key = (-r, u, v)
             if best is None or key < best:
@@ -236,10 +237,11 @@ def run_arbitrary_dynamics(
     rng = random.Random(seed)
 
     def pick(M: Matching) -> Optional[Edge]:
+        partner = M.partner_map
         candidates = [
             (u, v)
             for u, v in instance.graph.edges
-            if M.partner(u) != v and _pair_check(instance, M, u, v, relaxed=False).blocking
+            if partner[u] != v and _pair_check(instance, partner, u, v, relaxed=False)
         ]
         if not candidates:
             return None

@@ -309,6 +309,18 @@ class GameInstance:
         return tuple((eu + a1 * ev, ev + a1 * eu) for eu, ev in self.endpoint_rewards)
 
     @cached_property
+    def oriented_edges(self) -> tuple[dict[int, tuple[Fraction, Fraction, Fraction]], ...]:
+        """Per node x, per neighbour y: (stake of x, endpoint reward of x, endpoint reward of y) on xy.
+
+        Built on first use; every blocking-pair verdict reads its terms here.
+        """
+        table: tuple[dict, ...] = tuple({} for _ in range(self.graph.n))
+        for (u, v), (eu, ev), (su, sv) in zip(self.graph.edges, self.endpoint_rewards, self.stakes):
+            table[u][v] = (su, eu, ev)
+            table[v][u] = (sv, ev, eu)
+        return table
+
+    @cached_property
     def share_stakes(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Share-based q-values per edge: share + alpha1 * partner share."""
         a1 = self.friendship.alpha1
@@ -340,16 +352,6 @@ class GameInstance:
             return su
         if x == b:
             return sv
-        raise InstanceError(f"node {x} is not incident to edge ({u},{v})")
-
-    def endpoint_reward_of(self, x: int, u: int, v: int) -> Fraction:
-        i = self.edge_id(u, v)
-        a, b = self.graph.edges[i]
-        eu, ev = self.endpoint_rewards[i]
-        if x == a:
-            return eu
-        if x == b:
-            return ev
         raise InstanceError(f"node {x} is not incident to edge ({u},{v})")
 
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .instance import ZERO, Edge, GameInstance, InstanceError, normalize_edge
 from .rationals import rat_str
@@ -154,7 +154,7 @@ def node_reward(instance: GameInstance, matching: Matching, v: int) -> Fraction:
     w = matching.partner(v)
     if w is None:
         return ZERO
-    return instance.endpoint_reward_of(v, v, w)
+    return instance.oriented_edges[v][w][1]
 
 
 def perceived_utility(instance: GameInstance, matching: Matching, v: int) -> Fraction:
@@ -195,74 +195,68 @@ def matching_value(instance: GameInstance, matching: Matching) -> Fraction:
     return total
 
 
-def _stake(instance: GameInstance, x: int, u: int, v: int) -> Fraction:
-    i = instance.edge_id(u, v)
-    a, _ = instance.graph.edges[i]
-    su, sv = instance.stakes[i]
-    return su if x == a else sv
-
-
 def _pair_check(
     instance: GameInstance,
-    matching: Matching,
+    partner: Sequence[Optional[int]],
     u: int,
     v: int,
     relaxed: bool,
-) -> PairVerdict:
+    witness: Optional[list[Condition]] = None,
+) -> bool:
+    """Whether the adjacent pair (u, v) blocks the matching given by ``partner``.
+
+    Each endpoint x (with y the other endpoint) must strictly gain:
+
+        stake_x(xy) > stake_x(x p_x) + alpha1 * r_y(y p_y) + c * r_{p_y}(y p_y)
+
+    where p_x, p_y are the current partners, a term is dropped when its
+    partner is None, and c is the hop-distance coefficient between x and
+    p_y (alpha2 for a relaxed both-matched pair).  The verdict reads only
+    the partners of u and v.  Scans stop at the first side that fails;
+    when ``witness`` is a list, both sides are evaluated and appended to
+    it as Conditions.  Never call this on a pair matched to each other.
+    """
+    table = instance.oriented_edges
+    a1 = instance.friendship.alpha1
+    blocking = True
+    for x, y in ((u, v), (v, u)):
+        px = partner[x]
+        py = partner[y]
+        lhs = table[x][y][0]
+        rhs = ZERO if px is None else table[x][px][0]
+        if py is not None:
+            _, own, other = table[y][py]
+            cross = instance.friendship.alpha2 if relaxed and px is not None else instance.alpha_matrix[x][py]
+            # A zero coefficient adds nothing; skipping it saves Fraction work.
+            if a1:
+                rhs = rhs + a1 * own
+            if cross:
+                rhs = rhs + cross * other
+        if witness is not None:
+            witness.append(Condition(node=x, lhs=lhs, rhs=rhs))
+            blocking = blocking and lhs > rhs
+        elif not lhs > rhs:
+            return False
+    return blocking
+
+
+def _verdict(instance: GameInstance, matching: Matching, u: int, v: int, relaxed: bool) -> PairVerdict:
     pair = normalize_edge(u, v)
     if not instance.graph.has_edge(u, v):
         raise InstanceError(f"({u},{v}) is not an edge")
-    if matching.partner(u) == v:
+    partner = matching.partner_map
+    w, z = partner[u], partner[v]
+    if w == v:
         return PairVerdict(pair=pair, blocking=False, kind=None, conditions=())
-
-    a1 = instance.friendship.alpha1
-    a2 = instance.friendship.alpha2
-    w = matching.partner(u)
-    z = matching.partner(v)
-    new_u = _stake(instance, u, u, v)
-    new_v = _stake(instance, v, u, v)
-
+    conditions: list[Condition] = []
+    blocking = _pair_check(instance, partner, u, v, relaxed, conditions)
     if w is not None and z is not None:
-        # Both matched elsewhere: breaking (u,w) and (v,z) to add (u,v).
-        cross_uz = a2 if relaxed else instance.alpha_between(u, z)
-        cross_vw = a2 if relaxed else instance.alpha_between(v, w)
-        cond_u = Condition(
-            node=u,
-            lhs=new_u,
-            rhs=_stake(instance, u, u, w)
-            + a1 * instance.endpoint_reward_of(v, v, z)
-            + cross_uz * instance.endpoint_reward_of(z, v, z),
-        )
-        cond_v = Condition(
-            node=v,
-            lhs=new_v,
-            rhs=_stake(instance, v, v, z)
-            + a1 * instance.endpoint_reward_of(u, u, w)
-            + cross_vw * instance.endpoint_reward_of(w, u, w),
-        )
         kind = RELAXED_BISWIVEL if relaxed else BISWIVEL
-    elif w is not None or z is not None:
-        # Exactly one matched; name the matched one m with old partner p.
-        if w is not None:
-            m, free, p = u, v, w
-        else:
-            m, free, p = v, u, z
-        cond_u = Condition(node=m, lhs=_stake(instance, m, u, v), rhs=_stake(instance, m, m, p))
-        cond_v = Condition(
-            node=free,
-            lhs=_stake(instance, free, u, v),
-            rhs=a1 * instance.endpoint_reward_of(m, m, p)
-            + instance.alpha_between(free, p) * instance.endpoint_reward_of(p, m, p),
-        )
-        kind = SWIVEL
     else:
-        # Both unmatched: each side needs a strictly positive perceived gain.
-        cond_u = Condition(node=u, lhs=new_u, rhs=ZERO)
-        cond_v = Condition(node=v, lhs=new_v, rhs=ZERO)
         kind = SWIVEL
-
-    blocking = cond_u.holds and cond_v.holds
-    return PairVerdict(pair=pair, blocking=blocking, kind=kind, conditions=(cond_u, cond_v))
+        if w is None and z is not None:
+            conditions.reverse()  # the matched endpoint's condition comes first
+    return PairVerdict(pair=pair, blocking=blocking, kind=kind, conditions=tuple(conditions))
 
 
 def is_improving_pair(instance: GameInstance, matching: Matching, u: int, v: int) -> PairVerdict:
@@ -274,7 +268,7 @@ def is_improving_pair(instance: GameInstance, matching: Matching, u: int, v: int
     each side must gain strictly.  A pair matched to each other is never
     blocking.
     """
-    return _pair_check(instance, matching, u, v, relaxed=False)
+    return _verdict(instance, matching, u, v, relaxed=False)
 
 
 def is_relaxed_blocking_pair(instance: GameInstance, matching: Matching, u: int, v: int) -> PairVerdict:
@@ -283,17 +277,16 @@ def is_relaxed_blocking_pair(instance: GameInstance, matching: Matching, u: int,
     Every blocking pair is also a relaxed blocking pair; improving swivels
     are unchanged.
     """
-    return _pair_check(instance, matching, u, v, relaxed=True)
+    return _verdict(instance, matching, u, v, relaxed=True)
 
 
 def blocking_pairs(instance: GameInstance, matching: Matching, relaxed: bool = False) -> tuple[Edge, ...]:
-    found = []
-    for u, v in instance.graph.edges:
-        if matching.partner(u) == v:
-            continue
-        if _pair_check(instance, matching, u, v, relaxed).blocking:
-            found.append((u, v))
-    return tuple(found)
+    partner = matching.partner_map
+    return tuple(
+        (u, v)
+        for u, v in instance.graph.edges
+        if partner[u] != v and _pair_check(instance, partner, u, v, relaxed)
+    )
 
 
 def is_stable(instance: GameInstance, matching: Matching) -> StabilityResult:

@@ -1,9 +1,9 @@
 """Exact ground truth at desk scale.
 
 Maximum-weight matching by dynamic programming over node subsets,
-exhaustive matching and stable-set enumeration, and bound audits.  Limits
-are hard errors, never sampling fallbacks, so every oracle claim stays
-exact.
+exhaustive matching enumeration, branch-and-bound stable-set enumeration,
+and bound audits.  Limits are hard errors, never sampling fallbacks, so
+every oracle claim stays exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .instance import (
     compute_Q_prime,
     compute_R,
 )
-from .matching import Matching, is_stable, matching_value
+from .matching import Matching, _pair_check, matching_value
 from .rationals import rat_str
 
 DEFAULT_EXACT_LIMIT = 22
@@ -125,20 +125,55 @@ def enumerate_matchings(graph: Graph, *, max_n: int = DEFAULT_ENUM_LIMIT) -> Ite
 def enumerate_stable_matchings(
     instance: GameInstance, *, max_n: int = DEFAULT_ENUM_LIMIT
 ) -> tuple[Matching, ...]:
-    """All stable matchings, canonically sorted by their pair lists."""
-    stable = [
-        m
-        for m in enumerate_matchings(instance.graph, max_n=max_n)
-        if is_stable(instance, m).stable
-    ]
-    return tuple(sorted(stable, key=lambda m: m.sorted_pairs()))
+    """All stable matchings, canonically sorted by their pair lists.
 
+    Branch and bound over the recursion of ``enumerate_matchings``.  A
+    pair's verdict reads only the partners of its two endpoints, so it is
+    final once both are decided (matched, or passed over as unmatched).
+    Each decision checks the edges it makes final and cuts the branch at the
+    first blocking one; every completed matching is therefore stable.
+    """
+    graph = instance.graph
+    n = graph.n
+    if n > max_n:
+        raise SizeLimitError(f"n={n} exceeds enumeration limit {max_n}")
+    adjacency = graph.adjacency
+    partner: list[Optional[int]] = [None] * n
+    decided = [False] * n
+    pairs: list[Edge] = []
+    found: list[Matching] = []
 
-def _stable_values(
-    instance: GameInstance, *, max_n: int
-) -> tuple[tuple[Matching, ...], tuple[Fraction, ...]]:
-    stable = enumerate_stable_matchings(instance, max_n=max_n)
-    return stable, tuple(matching_value(instance, m) for m in stable)
+    def blocked(x: int, skip: Optional[int]) -> bool:
+        """Whether an edge from x to a decided node other than ``skip`` blocks."""
+        for y in adjacency[x]:
+            if decided[y] and y != skip and _pair_check(instance, partner, x, y, False):
+                return True
+        return False
+
+    def recurse(v: int) -> None:
+        while v < n and decided[v]:
+            v += 1
+        if v == n:
+            found.append(Matching(n=n, pairs=frozenset(pairs)))
+            return
+        decided[v] = True
+        if not blocked(v, None):
+            recurse(v + 1)
+        for u in adjacency[v]:
+            if u > v and not decided[u]:
+                partner[v], partner[u] = u, v
+                if not blocked(v, None) and not blocked(u, v):
+                    decided[u] = True
+                    pairs.append((v, u))
+                    recurse(v + 1)
+                    pairs.pop()
+                    decided[u] = False
+                partner[u] = None
+        partner[v] = None
+        decided[v] = False
+
+    recurse(0)
+    return tuple(sorted(found, key=lambda m: m.sorted_pairs()))
 
 
 def price_of_anarchy(
@@ -147,17 +182,11 @@ def price_of_anarchy(
     max_n: int = DEFAULT_ENUM_LIMIT,
     exact_max_n: int = DEFAULT_EXACT_LIMIT,
 ) -> Optional[Fraction]:
-    """Optimum over the worst stable value; None when no stable matching exists."""
-    _, optimum = max_weight_matching(instance, max_n=exact_max_n)
-    stable, values = _stable_values(instance, max_n=max_n)
-    if not stable:
-        return None
-    if optimum == 0:
-        return Fraction(1)
-    worst = min(values)
-    if worst == 0:
-        raise UndefinedRatioError("worst stable matching has zero value")
-    return optimum / worst
+    """The anarchy ratio of ``audit_bounds``: optimum over the worst stable value.
+
+    None when no stable matching exists or the worst stable value is 0.
+    """
+    return audit_bounds(instance, max_n=max_n, exact_max_n=exact_max_n).poa
 
 
 def price_of_stability(
@@ -166,17 +195,11 @@ def price_of_stability(
     max_n: int = DEFAULT_ENUM_LIMIT,
     exact_max_n: int = DEFAULT_EXACT_LIMIT,
 ) -> Optional[Fraction]:
-    """Optimum over the best stable value; None when no stable matching exists."""
-    _, optimum = max_weight_matching(instance, max_n=exact_max_n)
-    stable, values = _stable_values(instance, max_n=max_n)
-    if not stable:
-        return None
-    if optimum == 0:
-        return Fraction(1)
-    best = max(values)
-    if best == 0:
-        raise UndefinedRatioError("best stable matching has zero value")
-    return optimum / best
+    """The stability ratio of ``audit_bounds``: optimum over the best stable value.
+
+    None when no stable matching exists or the best stable value is 0.
+    """
+    return audit_bounds(instance, max_n=max_n, exact_max_n=exact_max_n).pos
 
 
 @dataclass(frozen=True)
@@ -245,20 +268,18 @@ def audit_bounds(
 ) -> AuditReport:
     """Enumerate the stable set and compare PoA/PoS against every applicable bound.
 
-    A bound that cannot be checked (no stable matching, or share ratios
-    undefined) is reported as unchecked rather than silently passed.
+    A ratio is None when no stable matching exists or its denominator (the
+    worst or the best stable value) is 0.  A bound on a ratio that is None,
+    or on share ratios that are undefined, is reported as unchecked rather
+    than silently passed.
     """
     witness, optimum = max_weight_matching(instance, max_n=exact_max_n)
-    stable, values = _stable_values(instance, max_n=max_n)
-    worst = min(values) if values else None
-    best = max(values) if values else None
-    poa: Optional[Fraction] = None
-    pos: Optional[Fraction] = None
-    if values and optimum > 0 and worst and worst > 0:
-        poa = optimum / worst
-        pos = optimum / best  # type: ignore[operator]
-    elif values and optimum == 0:
-        poa = pos = Fraction(1)
+    stable = enumerate_stable_matchings(instance, max_n=max_n)
+    values = tuple(matching_value(instance, m) for m in stable)
+    worst = min(values, default=None)
+    best = max(values, default=None)
+    poa = optimum / worst if worst else None
+    pos = optimum / best if best else None
 
     try:
         r_param: Optional[Fraction] = compute_R(instance)

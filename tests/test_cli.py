@@ -249,3 +249,33 @@ def test_table_format(tmp_path, capsys):
     code, out, _ = run(capsys, "audit", "--instance", str(path), "--format", "table")
     assert code == 0
     assert "poa: 2" in out
+
+
+def test_dynamics_brbp_rejects_start(tmp_path, capsys):
+    path = tmp_path / "pos.json"
+    run(capsys, "gen", "pos-tight", "--out", str(path))
+    for start in ("opt", "empty"):
+        code, out, err = run(capsys, "dynamics", "--instance", str(path), "--method", "brbp", "--start", start)
+        assert code == 1
+        assert out == ""
+        assert "--start" in err
+    code, _, _ = run(capsys, "dynamics", "--instance", str(path), "--method", "bbp", "--start", "opt")
+    assert code == 0
+
+
+def test_audit_zero_worst_stable_value(tmp_path, capsys):
+    # One edge whose smaller endpoint takes no share: the empty matching is
+    # stable with value 0, so PoA is undefined while PoS is 1.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "nodes": 2,
+        "edges": [{"u": 0, "v": 1, "r": "1"}],
+        "sharing": {"rule": "oblivious", "shares": [{"u": "0", "v": "1"}]},
+        "alpha": [],
+    }))
+    code, out, _ = run(capsys, "audit", "--instance", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stable_values"] == ["0", "1"]
+    assert doc["poa"] is None
+    assert doc["pos"] == "1"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from socialmatch.instance import Graph
-from socialmatch.matching import matching_value
+from socialmatch.matching import Matching, is_stable, matching_value
 from socialmatch.oracle import (
     SizeLimitError,
     audit_bounds,
@@ -13,7 +13,7 @@ from socialmatch.oracle import (
     price_of_anarchy,
     price_of_stability,
 )
-from helpers import ALPHA_SAMPLES, equal_instance, path3_equal
+from helpers import ALPHA_SAMPLES, equal_instance, oblivious_instance, path3_equal
 from socialmatch.generators import (
     gen_cyclic_triangle,
     gen_friendship_rs_tight,
@@ -111,6 +111,20 @@ def test_poa_single_edge():
     assert price_of_anarchy(inst) == 1
 
 
+def test_ratios_with_zero_worst_stable_value():
+    # Both the empty matching (value 0) and the edge (value 1) are stable.
+    inst = oblivious_instance(Graph(2, ((0, 1),)), {(0, 1): (0, 1)})
+    assert price_of_anarchy(inst) is None
+    assert price_of_stability(inst) == 1
+    report = audit_bounds(inst)
+    assert report.stable_values == (0, 1)
+    assert (report.poa, report.pos) == (None, 1)
+    assert report.bounds == () and report.all_bounds_pass
+    # Without edges the only stable value is 0: both ratios are undefined.
+    edgeless = equal_instance(Graph(2, ()), ())
+    assert (price_of_anarchy(edgeless), price_of_stability(edgeless)) == (None, None)
+
+
 def test_poa_none_when_no_stable_matching():
     assert price_of_anarchy(gen_cyclic_triangle()) is None
     assert price_of_stability(gen_cyclic_triangle()) is None
@@ -194,3 +208,57 @@ def test_report_round_trip_dict():
     report = audit_bounds(path3_equal(alpha=(F(1, 2),)))
     doc = report.to_dict()
     assert json.loads(json.dumps(doc)) == doc
+
+
+# The acceptance suite's friendship palette.
+ALPHA_PALETTE = (
+    (),
+    (F(1, 4),),
+    (F(1, 2),),
+    (F(1, 2), F(1, 4)),
+    (F(1), F(1)),
+    (F(2, 3), F(1, 3)),
+    (F(1), F(1), F(1, 2)),
+)
+
+
+def filtered_stable_set(inst):
+    """Every matching that passes a full blocking scan, canonically sorted."""
+    stable = [m for m in enumerate_matchings(inst.graph) if is_stable(inst, m).stable]
+    return tuple(sorted(stable, key=lambda m: m.sorted_pairs()))
+
+
+def zero_share_instance(seed, n, alpha):
+    """A random oblivious instance where each endpoint share is 0, half or all of the reward."""
+    import random
+
+    base = gen_random(seed=seed, n=n, density=0.5, rule="oblivious")
+    rng = random.Random(seed)
+    shares = {}
+    for e, r in zip(base.graph.edges, base.rewards):
+        t = rng.choice((F(0), F(1, 2), F(1)))
+        shares[e] = (t * r, (1 - t) * r)
+    return oblivious_instance(base.graph, shares, alpha)
+
+
+def test_pruned_stable_set_single_zero_share_edge():
+    inst = oblivious_instance(Graph(2, ((0, 1),)), {(0, 1): (0, 1)})
+    assert enumerate_stable_matchings(inst) == (Matching.empty(2), Matching.of(2, [(0, 1)]))
+    assert enumerate_stable_matchings(inst) == filtered_stable_set(inst)
+
+
+@pytest.mark.parametrize("rule", ("equal", "matthew", "parasite", "trust", "oblivious", "zero-share"))
+def test_pruned_stable_set_matches_filter(rule):
+    for n in range(2, 10):
+        for k, alpha in enumerate(ALPHA_PALETTE):
+            seed = 1000 * n + k
+            if rule == "zero-share":
+                inst = zero_share_instance(seed, n, alpha)
+            else:
+                inst = gen_random(seed=seed, n=n, density=0.5, rule=rule, alpha=alpha)
+            assert enumerate_stable_matchings(inst) == filtered_stable_set(inst), (rule, n, alpha)
+
+
+def test_stable_set_size_limit():
+    with pytest.raises(SizeLimitError):
+        enumerate_stable_matchings(equal_instance(Graph(13, ()), ()), max_n=12)
