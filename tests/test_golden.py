@@ -1,10 +1,13 @@
-"""Byte-for-byte goldens of the CLI's audit report on every gadget.
+"""Byte-for-byte goldens of the CLI's audit, solve and dynamics output.
 
-Each golden is the stdout of ``socialmatch audit --instance <gadget>`` with
-default flags, where the instance comes from ``socialmatch gen <gadget>``
-with default flags; ``aux-augment`` augments the ``path3`` gadget.  The
-files pin the audit's full output, so a change that alters it the same way
-on every run still shows.  Regenerate them with
+Each audit golden is the stdout of ``socialmatch audit --instance <gadget>``
+with default flags, where the instance comes from ``socialmatch gen
+<gadget>`` with default flags; ``aux-augment`` augments the ``path3``
+gadget.  Each solve or dynamics golden runs one command of ``COMMANDS`` on
+the instance its ``gen`` arguments make; ``<name>.out`` holds its stdout,
+``<name>.err`` its stderr when there is any, and the table pins its exit
+code.  The files pin the full output, so a change that alters it the same
+way on every run still shows.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``, and only when a change of
 output is intended.
 """
@@ -33,12 +36,78 @@ GADGETS = (
     "aux-augment",
 )
 
+# name -> (gen arguments, command and its flags, exit code)
+COMMANDS = {
+    "solve-brbp-equal": (
+        ["random", "--seed", "3", "--n", "8", "--alpha", "1/2"],
+        ["solve", "--method", "brbp"],
+        0,
+    ),
+    "solve-brbp-equal-n20": (
+        ["random", "--seed", "7", "--n", "20", "--density", "0.3"],
+        ["solve", "--method", "brbp", "--max-n", "22"],
+        0,
+    ),
+    "solve-brbp-trust": (
+        ["random", "--seed", "5", "--n", "10", "--rule", "trust"],
+        ["solve", "--method", "brbp"],
+        0,
+    ),
+    "solve-greedy-matthew": (
+        ["random", "--seed", "4", "--n", "12", "--rule", "matthew"],
+        ["solve", "--method", "greedy"],
+        0,
+    ),
+    "solve-greedy-trust-q": (
+        ["random", "--seed", "6", "--n", "10", "--rule", "trust", "--alpha", "1/2"],
+        ["solve", "--method", "greedy", "--prefs", "q"],
+        0,
+    ),
+    # Preference cycles: the witness in stderr pins the detector's output.
+    "solve-greedy-cycle": (
+        ["random", "--seed", "2", "--n", "12", "--rule", "oblivious"],
+        ["solve", "--method", "greedy"],
+        1,
+    ),
+    "solve-greedy-cyclic-triangle": (
+        ["cyclic-triangle"],
+        ["solve", "--method", "greedy"],
+        1,
+    ),
+    "solve-srpq-matthew": (
+        ["random", "--seed", "1", "--n", "8", "--rule", "matthew", "--alpha", "1/2"],
+        ["solve", "--method", "srpq"],
+        0,
+    ),
+    # q-preferences with a cycle: solved by enumeration.
+    "solve-srpq-cycle": (
+        ["random", "--seed", "7", "--n", "8", "--rule", "oblivious", "--alpha", "1/2"],
+        ["solve", "--method", "srpq"],
+        0,
+    ),
+    "dynamics-brbp": (
+        ["random", "--seed", "17", "--n", "10", "--alpha", "1/2"],
+        ["dynamics", "--method", "brbp"],
+        0,
+    ),
+    "dynamics-bbp": (
+        ["random", "--seed", "12", "--n", "8", "--rule", "trust"],
+        ["dynamics", "--method", "bbp"],
+        0,
+    ),
+    "dynamics-arbitrary": (
+        ["random", "--seed", "13", "--n", "10"],
+        ["dynamics", "--method", "arbitrary", "--start", "empty", "--seed", "13"],
+        0,
+    ),
+}
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def audit_output(gadget: str, workdir: Path) -> tuple[int, str]:
@@ -50,7 +119,15 @@ def audit_output(gadget: str, workdir: Path) -> tuple[int, str]:
         assert _run(["gen", "path3", "--out", str(base)])[0] == 0
         extra = ["--instance", str(base)]
     assert _run(["gen", gadget, "--out", str(path), *extra])[0] == 0
-    return _run(["audit", "--instance", str(path)])
+    return _run(["audit", "--instance", str(path)])[:2]
+
+
+def command_output(name: str, workdir: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the named command on its instance."""
+    gen, (command, *flags), _ = COMMANDS[name]
+    path = workdir / f"{name}.json"
+    assert _run(["gen", *gen, "--out", str(path)])[0] == 0
+    return _run([command, "--instance", str(path), *flags])
 
 
 @pytest.mark.parametrize("gadget", GADGETS)
@@ -61,10 +138,26 @@ def test_audit_golden(gadget, tmp_path):
     assert out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_golden(name, tmp_path):
+    code, out, err = command_output(name, tmp_path)
+    stderr = GOLDEN / f"{name}.err"
+    assert code == COMMANDS[name][2]
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert err == (stderr.read_text(encoding="utf-8") if stderr.exists() else "")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in GADGETS:
-            _, text = audit_output(name, Path(tmp))
-            (GOLDEN / f"audit-{name}.json").write_text(text, encoding="utf-8")
-            print(f"wrote audit-{name}.json", file=sys.stderr)
+        for gadget in GADGETS:
+            _, text = audit_output(gadget, Path(tmp))
+            (GOLDEN / f"audit-{gadget}.json").write_text(text, encoding="utf-8")
+            print(f"wrote audit-{gadget}.json", file=sys.stderr)
+        for name in COMMANDS:
+            _, text, err = command_output(name, Path(tmp))
+            (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
+            (GOLDEN / f"{name}.err").unlink(missing_ok=True)
+            if err:
+                (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
+            print(f"wrote {name}", file=sys.stderr)
