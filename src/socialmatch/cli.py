@@ -42,7 +42,14 @@ from .instance import (
     instance_to_json,
 )
 from .matching import Matching, is_stable, matching_value
-from .oracle import SizeLimitError, audit_bounds, enumerate_stable_matchings, max_weight_matching
+from .oracle import (
+    DEFAULT_ENUM_LIMIT,
+    DEFAULT_EXACT_LIMIT,
+    SizeLimitError,
+    audit_bounds,
+    enumerate_stable_matchings,
+    max_weight_matching,
+)
 from .rationals import rat, rat_str
 from .roommates import MODE_Q, MODE_RAW, PreferenceCycleError, greedy_mutual_best, solve_srp_q
 
@@ -82,6 +89,13 @@ def _load_instance(args) -> GameInstance:
 
         instance = dataclasses.replace(instance, friendship=alpha)
     return instance
+
+
+def _caps(args) -> tuple[int, int]:
+    """(enumeration cap, exact-optimum cap): ``--max-n`` sets both, else each library default."""
+    if args.max_n is None:
+        return DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT
+    return args.max_n, args.max_n
 
 
 def cmd_gen(args) -> int:
@@ -128,9 +142,10 @@ def _alpha_list(text: Optional[str]) -> tuple:
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args)
+    enum_max_n, exact_max_n = _caps(args)
     report: dict = {"method": args.method}
     if args.method == "brbp":
-        matched, trace = run_brbp(instance, exact_max_n=args.max_n)
+        matched, trace = run_brbp(instance, exact_max_n=exact_max_n)
         report["deviations"] = len(trace.steps)
         report["termination"] = trace.termination
         if trace.termination == "cap":
@@ -139,7 +154,7 @@ def cmd_solve(args) -> int:
         mode = MODE_Q if args.prefs == "q" else MODE_RAW
         matched = greedy_mutual_best(instance, mode)
     elif args.method == "srpq":
-        result = solve_srp_q(instance, max_n=args.max_n)
+        result = solve_srp_q(instance, max_n=enum_max_n)
         if result is None:
             _emit({"method": "srpq", "stable_matching": None}, args.format)
             return EXIT_NEGATIVE
@@ -158,6 +173,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    enum_max_n, exact_max_n = _caps(args)
     if args.manifest:
         paths = json.loads(_read(args.manifest))
         if not isinstance(paths, list):
@@ -167,7 +183,7 @@ def cmd_audit(args) -> int:
         worst = EXIT_OK
         for path in paths:
             instance = instance_from_json(_read(path))
-            report = audit_bounds(instance, max_n=args.max_n, exact_max_n=args.max_n)
+            report = audit_bounds(instance, max_n=enum_max_n, exact_max_n=exact_max_n)
             reports.append({"instance": path, **report.to_dict()})
             if report.stable_count == 0 or not report.all_bounds_pass:
                 worst = EXIT_NEGATIVE
@@ -177,7 +193,7 @@ def cmd_audit(args) -> int:
         print("audit needs --instance or --manifest", file=sys.stderr)
         return EXIT_ERROR
     instance = _load_instance(args)
-    report = audit_bounds(instance, max_n=args.max_n, exact_max_n=args.max_n)
+    report = audit_bounds(instance, max_n=enum_max_n, exact_max_n=exact_max_n)
     _emit(report.to_dict(), args.format)
     if report.stable_count == 0:
         return EXIT_NEGATIVE
@@ -188,14 +204,15 @@ def cmd_audit(args) -> int:
 
 def cmd_dynamics(args) -> int:
     instance = _load_instance(args)
+    _, exact_max_n = _caps(args)
     if args.method == "brbp":
         if args.start is not None:
             print("--start does not apply to --method brbp, which starts from the optimum", file=sys.stderr)
             return EXIT_ERROR
-        _, trace = run_brbp(instance, exact_max_n=args.max_n, cap=args.cap)
+        _, trace = run_brbp(instance, exact_max_n=exact_max_n, cap=args.cap)
     else:
         if args.start in (None, "opt"):
-            start, _ = max_weight_matching(instance, max_n=args.max_n)
+            start, _ = max_weight_matching(instance, max_n=exact_max_n)
         elif args.start == "empty":
             start = Matching.empty(instance.graph.n)
         else:
@@ -274,7 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
         if instance_required:
             p.add_argument("--instance", required=True, help="instance JSON path")
         p.add_argument("--alpha", help="override friendship vector, e.g. '1/2,1/4'")
-        p.add_argument("--max-n", type=int, default=12, dest="max_n", help="exact-computation node cap")
+        p.add_argument(
+            "--max-n",
+            type=int,
+            dest="max_n",
+            help=f"node cap for both enumeration and the exact optimum "
+            f"(default: {DEFAULT_ENUM_LIMIT} and {DEFAULT_EXACT_LIMIT})",
+        )
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("gen", help="generate a benchmark instance")

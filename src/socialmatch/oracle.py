@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .instance import (
-    ZERO,
     Edge,
     EqualSharing,
     GameInstance,
@@ -25,7 +24,7 @@ from .instance import (
     compute_R,
 )
 from .matching import Matching, _pair_check, matching_value
-from .rationals import rat_str
+from .rationals import rat_str, rescale
 
 DEFAULT_EXACT_LIMIT = 22
 DEFAULT_ENUM_LIMIT = 12
@@ -40,31 +39,37 @@ def max_weight_matching(
 ) -> tuple[Matching, Fraction]:
     """Exact maximum-weight matching via subset dynamic programming.
 
-    The witness is deterministic: at each step the lowest free node is
-    matched to the smallest neighbor that still achieves the optimum
-    (preferring a match over skipping when values tie), which yields the
-    lexicographically least optimal pair list.
+    The DP runs on integers: every reward is multiplied by the lcm of the
+    rewards' denominators, which keeps every strict inequality and every
+    tie, and the optimum is divided back at the end.  The witness is
+    deterministic: at each step the lowest free node is matched to the
+    smallest neighbor that still achieves the optimum (preferring a match
+    over skipping when values tie), which yields the lexicographically
+    least optimal pair list.
     """
     graph = instance.graph
     n = graph.n
     if n > max_n:
         raise SizeLimitError(f"n={n} exceeds exact-optimum limit {max_n}")
-    rewards = instance.rewards
-    adjacency = graph.adjacency
-    edge_index = graph.edge_index
-    memo: dict[int, Fraction] = {0: ZERO}
+    scale, weights = rescale(instance.rewards)
+    # Per node: (neighbour, its bit, scaled reward).  The edges are sorted,
+    # so each row lists its neighbours in increasing id.
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in zip(graph.edges, weights):
+        arcs[u].append((v, 1 << v, w))
+        arcs[v].append((u, 1 << u, w))
+    memo: dict[int, int] = {0: 0}
 
-    def best(mask: int) -> Fraction:
+    def best(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
         v = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         value = best(rest)  # leave v unmatched
-        for u in adjacency[v]:
-            bit = 1 << u
+        for _, bit, w in arcs[v]:
             if mask & bit:
-                cand = rewards[edge_index[(min(u, v), max(u, v))]] + best(rest & ~bit)
+                cand = w + best(rest & ~bit)
                 if cand > value:
                     value = cand
         memo[mask] = value
@@ -78,9 +83,8 @@ def max_weight_matching(
         rest = mask & (mask - 1)
         target = best(mask)
         chosen = None
-        for u in adjacency[v]:
-            bit = 1 << u
-            if mask & bit and rewards[edge_index[(min(u, v), max(u, v))]] + best(rest & ~bit) == target:
+        for u, bit, w in arcs[v]:
+            if mask & bit and w + best(rest & ~bit) == target:
                 chosen = u
                 break
         if chosen is None:
@@ -88,7 +92,7 @@ def max_weight_matching(
         else:
             pairs.append((v, chosen))
             mask = rest & ~(1 << chosen)
-    return Matching.of(n, pairs), total
+    return Matching.of(n, pairs), Fraction(total, scale)
 
 
 def enumerate_matchings(graph: Graph, *, max_n: int = DEFAULT_ENUM_LIMIT) -> Iterator[Matching]:
@@ -273,8 +277,9 @@ def audit_bounds(
     or on share ratios that are undefined, is reported as unchecked rather
     than silently passed.
     """
-    witness, optimum = max_weight_matching(instance, max_n=exact_max_n)
+    # The enumeration cap is the tighter one by default: check it before any work.
     stable = enumerate_stable_matchings(instance, max_n=max_n)
+    witness, optimum = max_weight_matching(instance, max_n=exact_max_n)
     values = tuple(matching_value(instance, m) for m in stable)
     worst = min(values, default=None)
     best = max(values, default=None)

@@ -1,8 +1,10 @@
-"""Exact rational parsing and formatting for JSON documents."""
+"""Exact rational parsing and formatting for JSON documents, and integer rescaling."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Iterable
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -24,3 +26,15 @@ def rat_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def rescale(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """Exact integer images of rationals: the lcm of their denominators, and
+    each value times it.
+
+    A positive scale keeps every strict inequality and every tie, among the
+    values and among their sums, so comparisons can run on the integers.
+    """
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]

@@ -16,6 +16,7 @@ from typing import Optional
 from .instance import ZERO, GameInstance
 from .matching import Matching, is_stable
 from .oracle import DEFAULT_ENUM_LIMIT, enumerate_matchings
+from .rationals import rescale
 
 MODE_RAW = "raw"
 MODE_Q = "q"
@@ -45,6 +46,20 @@ def preference_key(instance: GameInstance, mode: str, x: int, y: int) -> Fractio
     return ku if x == a else kv
 
 
+def _key_table(instance: GameInstance, mode: str) -> tuple[dict[int, int], ...]:
+    """Per node x, per neighbour y: the key x assigns to y, rescaled to an integer.
+
+    The preference machinery only compares keys, and rescaling keeps every
+    strict order and every tie.
+    """
+    _, scaled = rescale(k for pair in _keys(instance, mode) for k in pair)
+    table: tuple[dict[int, int], ...] = tuple({} for _ in range(instance.graph.n))
+    for i, (u, v) in enumerate(instance.graph.edges):
+        table[u][v] = scaled[2 * i]
+        table[v][u] = scaled[2 * i + 1]
+    return table
+
+
 @dataclass(frozen=True)
 class PreferenceProfile:
     """Per-node neighbor lists, strictly ordered by key, ties to smaller id."""
@@ -54,14 +69,56 @@ class PreferenceProfile:
 
 
 def preference_profile(instance: GameInstance, mode: str) -> PreferenceProfile:
-    lists = []
-    for v in range(instance.graph.n):
-        nbrs = sorted(
-            instance.graph.adjacency[v],
-            key=lambda u: (-preference_key(instance, mode, v, u), u),
-        )
-        lists.append(tuple(nbrs))
-    return PreferenceProfile(mode=mode, lists=tuple(lists))
+    keys = _key_table(instance, mode)
+    lists = tuple(tuple(sorted(row, key=lambda u: (-row[u], u))) for row in keys)
+    return PreferenceProfile(mode=mode, lists=lists)
+
+
+def _components(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component label of every vertex of a digraph.
+
+    One iterative pass of Tarjan's algorithm: an explicit stack of
+    (vertex, successor iterator) frames stands in for recursion, so the
+    depth is not bounded by the interpreter's recursion limit.
+    """
+    n = len(succ)
+    order = [-1] * n  # discovery index
+    low = [0] * n
+    comp = [-1] * n  # set when a vertex leaves the Tarjan stack
+    stack: list[int] = []
+    counter = label = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = label
+                        if w == v:
+                            break
+                    label += 1
+    return comp
 
 
 def detect_preference_cycle(instance: GameInstance, mode: str = MODE_RAW) -> Optional[tuple[int, ...]]:
@@ -71,51 +128,48 @@ def detect_preference_cycle(instance: GameInstance, mode: str = MODE_RAW) -> Opt
     Detection walks the digraph of oriented edges: (a, b) -> (b, c) exists
     when b weakly prefers c over a (c != a), and is strict when the
     preference is strict.  A strict arc lying on a directed cycle of that
-    digraph is exactly a staircase cycle; the returned witness may revisit
-    nodes on contrived instances but always satisfies the defining
-    inequalities.
+    digraph is exactly a staircase cycle, and it lies on one exactly when
+    its two ends share a strongly connected component.  One Tarjan pass
+    labels the components; a BFS then walks back along the first such arc
+    only, for the witness.  The returned witness may revisit nodes on
+    contrived instances but always satisfies the defining inequalities.
     """
     graph = instance.graph
+    keys = _key_table(instance, mode)
     states = [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
     states.sort()
     index = {s: i for i, s in enumerate(states)}
     succ: list[list[int]] = [[] for _ in states]
     strict_arcs: list[tuple[int, int]] = []
     for si, (a, b) in enumerate(states):
-        kb_a = preference_key(instance, mode, b, a)
+        kb = keys[b]
+        kb_a = kb[a]
         for c in graph.adjacency[b]:
             if c == a:
                 continue
-            kb_c = preference_key(instance, mode, b, c)
+            kb_c = kb[c]
             if kb_c >= kb_a:
                 ti = index[(b, c)]
                 succ[si].append(ti)
                 if kb_c > kb_a:
                     strict_arcs.append((si, ti))
 
-    def path(src: int, dst: int) -> Optional[list[int]]:
-        # BFS, returning a state path src..dst (or None).
-        prev = {src: -1}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if x == dst:
-                out = [x]
-                while prev[out[-1]] != -1:
-                    out.append(prev[out[-1]])
-                return list(reversed(out))
-            for y in succ[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        return None
-
+    comp = _components(succ)
     for si, ti in strict_arcs:
-        back = path(ti, si)
-        if back is not None:
-            # States ti .. si form the walk; the strict arc closes si -> ti.
-            nodes = tuple(states[i][0] for i in back)
-            return nodes
+        if comp[si] == comp[ti]:
+            # BFS for a state path ti .. si; the strict arc closes si -> ti.
+            prev = {ti: -1}
+            queue = deque([ti])
+            while si not in prev:
+                x = queue.popleft()
+                for y in succ[x]:
+                    if y not in prev:
+                        prev[y] = x
+                        queue.append(y)
+            back = [si]
+            while prev[back[-1]] != -1:
+                back.append(prev[back[-1]])
+            return tuple(states[i][0] for i in reversed(back))
     return None
 
 
@@ -144,6 +198,7 @@ def greedy_mutual_best(
         if cycle is not None:
             raise PreferenceCycleError(cycle)
     graph = instance.graph
+    keys = _key_table(instance, mode)
     alive = [True] * graph.n
     pairs: list[tuple[int, int]] = []
     scans: list[int] = []
@@ -151,14 +206,14 @@ def greedy_mutual_best(
         # One pass over the remaining edges: each node's best key and its
         # smallest best neighbor.  Sorted edge order visits every node's
         # neighbors in increasing id, so "first attaining" = smallest id.
-        best_key: dict[int, Fraction] = {}
+        best_key: dict[int, int] = {}
         best_partner: dict[int, int] = {}
         scanned = 0
         for u, v in graph.edges:
             if alive[u] and alive[v]:
                 scanned += 1
-                ku = preference_key(instance, mode, u, v)
-                kv = preference_key(instance, mode, v, u)
+                ku = keys[u][v]
+                kv = keys[v][u]
                 if u not in best_key or ku > best_key[u]:
                     best_key[u] = ku
                     best_partner[u] = v
@@ -172,7 +227,7 @@ def greedy_mutual_best(
         chosen = None
         for u in sorted(best_key):
             b = best_partner[u]
-            if preference_key(instance, mode, b, u) == best_key[b]:
+            if keys[b][u] == best_key[b]:
                 chosen = (u, b)
                 break
         if chosen is None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction as F
+from typing import Optional
 
 from socialmatch.instance import (
     EqualSharing,
@@ -19,6 +21,7 @@ from socialmatch.matching import (
     deviation_for,
     perceived_utility,
 )
+from socialmatch.roommates import preference_key
 
 PATH3 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
@@ -56,6 +59,53 @@ def brute_improving(instance: GameInstance, matching: Matching, u: int, v: int) 
     return perceived_utility(instance, after, u) > perceived_utility(
         instance, matching, u
     ) and perceived_utility(instance, after, v) > perceived_utility(instance, matching, v)
+
+
+def bfs_preference_cycle(instance: GameInstance, mode: str) -> Optional[tuple[int, ...]]:
+    """Independent oracle for ``detect_preference_cycle``: one BFS per strict arc.
+
+    Same digraph of oriented edges, same strict-arc order and same BFS, so
+    the first strict arc that closes a cycle gives the same witness; each
+    key is read through ``preference_key``.
+    """
+    graph = instance.graph
+    states = sorted([(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges])
+    index = {s: i for i, s in enumerate(states)}
+    succ: list[list[int]] = [[] for _ in states]
+    strict_arcs: list[tuple[int, int]] = []
+    for si, (a, b) in enumerate(states):
+        kb_a = preference_key(instance, mode, b, a)
+        for c in graph.adjacency[b]:
+            if c == a:
+                continue
+            kb_c = preference_key(instance, mode, b, c)
+            if kb_c >= kb_a:
+                ti = index[(b, c)]
+                succ[si].append(ti)
+                if kb_c > kb_a:
+                    strict_arcs.append((si, ti))
+
+    def path(src: int, dst: int) -> Optional[list[int]]:
+        prev = {src: -1}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            if x == dst:
+                out = [x]
+                while prev[out[-1]] != -1:
+                    out.append(prev[out[-1]])
+                return list(reversed(out))
+            for y in succ[x]:
+                if y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        return None
+
+    for si, ti in strict_arcs:
+        back = path(ti, si)
+        if back is not None:
+            return tuple(states[i][0] for i in back)
+    return None
 
 
 ALPHA_SAMPLES = (

@@ -279,3 +279,24 @@ def test_audit_zero_worst_stable_value(tmp_path, capsys):
     assert doc["stable_values"] == ["0", "1"]
     assert doc["poa"] is None
     assert doc["pos"] == "1"
+
+
+def test_max_n_default_applies_each_library_cap(tmp_path, capsys):
+    # Without --max-n the exact optimum is capped at 22 and enumeration at 12.
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "random", "--seed", "3", "--n", "16", "--density", "0.3", "--out", str(path))
+    code, out, err = run(capsys, "solve", "--instance", str(path), "--method", "brbp")
+    assert code == 0 and err == ""
+    assert json.loads(out)["stable"] is True
+    code, out, err = run(capsys, "audit", "--instance", str(path))
+    assert code == 1 and out == ""
+    assert err == "limit: n=16 exceeds enumeration limit 12\n"
+
+
+def test_explicit_max_n_caps_the_exact_optimum(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "random", "--seed", "3", "--n", "16", "--density", "0.3", "--out", str(path))
+    for command in ("solve", "dynamics"):
+        code, out, err = run(capsys, command, "--instance", str(path), "--method", "brbp", "--max-n", "12")
+        assert code == 1 and out == ""
+        assert err == "limit: n=16 exceeds exact-optimum limit 12\n"

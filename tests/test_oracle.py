@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -59,6 +60,48 @@ def test_max_weight_witness_deterministic_and_optimal():
         w2, v2 = max_weight_matching(inst)
         assert w1 == w2 and v1 == v2
         assert matching_value(inst, w1) == v1
+
+
+# Rewards with pairwise coprime denominators, and sums that tie (1/3 + 2/3 = 1).
+MIXED_REWARDS = (F(1, 3), F(2, 3), F(2, 7), F(5, 11), F(3, 4), F(7, 5), F(1), F(9, 13))
+
+
+def mixed_instance(seed: int, n: int, density: float):
+    rng = random.Random(seed)
+    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
+    return equal_instance(Graph(n, edges), [rng.choice(MIXED_REWARDS) for _ in edges])
+
+
+def test_max_weight_mixed_denominators_match_enumeration():
+    # The integer-rescaled DP returns the exact optimum as a Fraction and the
+    # lexicographically least optimal pair list.
+    for seed in range(60):
+        inst = mixed_instance(seed, 2 + seed % 9, 0.55)
+        witness, value = max_weight_matching(inst)
+        values = {m.sorted_pairs(): matching_value(inst, m) for m in enumerate_matchings(inst.graph)}
+        best = max(values.values())
+        assert isinstance(value, F) and value == best, seed
+        assert witness.sorted_pairs() == min(p for p, v in values.items() if v == best), seed
+
+
+def test_max_weight_edgeless():
+    for n in (0, 1, 5):
+        witness, value = max_weight_matching(equal_instance(Graph(n, ()), ()))
+        assert isinstance(value, F) and value == F(0)
+        assert witness.sorted_pairs() == ()
+
+
+def test_max_weight_value_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed in range(12):
+        n = 11 + seed  # up to 22
+        inst = mixed_instance(100 + seed, n, 0.3)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        for (u, v), r in zip(inst.graph.edges, inst.rewards):
+            g.add_edge(u, v, weight=r)
+        expected = sum((g[u][v]["weight"] for u, v in nx.max_weight_matching(g)), F(0))
+        assert max_weight_matching(inst)[1] == expected, seed
 
 
 def test_max_weight_size_limit():

@@ -16,7 +16,7 @@ from socialmatch.roommates import (
     preference_profile,
     solve_srp_q,
 )
-from helpers import equal_instance
+from helpers import ALPHA_SAMPLES, bfs_preference_cycle, equal_instance, oblivious_instance
 from socialmatch.generators import (
     gen_cyclic_triangle,
     gen_matthew_poa_tight,
@@ -63,6 +63,50 @@ def test_detected_cycles_always_satisfy_staircase():
             found += 1
             assert staircase_holds(inst, MODE_RAW, cycle)
     assert found > 0
+
+
+RULES = ("equal", "matthew", "parasite", "trust", "oblivious")
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_cycle_detector_matches_per_arc_bfs(rule):
+    # Seeded sweep over both modes, the alpha palette and n = 4..40; the
+    # witness must equal the per-arc BFS oracle's exactly.
+    cycles = 0
+    for mode in (MODE_RAW, MODE_Q):
+        for alpha in ALPHA_SAMPLES:
+            for n in range(4, 41):
+                inst = gen_random(seed=n, n=n, density=max(0.15, 4 / n), rule=rule, alpha=alpha)
+                found = detect_preference_cycle(inst, mode)
+                assert found == bfs_preference_cycle(inst, mode), (rule, mode, alpha, n)
+                cycles += found is not None
+    if rule == "oblivious":
+        assert cycles > 0
+
+
+@pytest.mark.parametrize("mode", [MODE_RAW, MODE_Q])
+def test_cycle_detector_matches_per_arc_bfs_on_gadgets(mode):
+    for inst in (gen_cyclic_triangle(), gen_nonexistence_friendship_matthew()):
+        assert detect_preference_cycle(inst, mode) == bfs_preference_cycle(inst, mode)
+
+
+def test_cycle_detector_long_ring_and_path():
+    # The oriented-edge digraph holds one chain through all n nodes, deeper
+    # than the interpreter's recursion limit.
+    n = 2000
+    ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    # Each node takes 2 on the edge to its successor and 1 on the edge to
+    # its predecessor, so everyone strictly prefers the next node.
+    shares = {(i, i + 1): (2, 1) for i in range(n - 1)}
+    shares[(0, n - 1)] = (1, 2)
+    inst = oblivious_instance(Graph(n, tuple(ring)), shares)
+    cycle = detect_preference_cycle(inst, MODE_RAW)
+    assert cycle is not None and sorted(cycle) == list(range(n))
+    assert staircase_holds(inst, MODE_RAW, cycle)
+    assert cycle == bfs_preference_cycle(inst, MODE_RAW)
+    # Rewards rising along a path: one strict chain, no cycle.
+    path = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    assert detect_preference_cycle(equal_instance(path, range(1, n)), MODE_RAW) is None
 
 
 def test_preference_profile_ordering():
