@@ -1,4 +1,4 @@
-"""Byte-for-byte goldens of the CLI's audit, solve and dynamics output.
+"""Byte-for-byte goldens of the CLI's audit, solve, dynamics and ccg output.
 
 Each audit golden is the stdout of ``socialmatch audit --instance <gadget>``
 with default flags, where the instance comes from ``socialmatch gen
@@ -6,8 +6,10 @@ with default flags, where the instance comes from ``socialmatch gen
 gadget.  Each solve or dynamics golden runs one command of ``COMMANDS`` on
 the instance its ``gen`` arguments make; ``<name>.out`` holds its stdout,
 ``<name>.err`` its stderr when there is any, and the table pins its exit
-code.  The files pin the full output, so a change that alters it the same
-way on every run still shows.  Regenerate them with
+code.  Each ccg golden runs ``socialmatch ccg --game <name>.game.json`` on
+a committed game made by ``generators.gen_random_ccg`` with the arguments
+of ``CCG_GAMES``; ``<name>.out`` holds its stdout.  The files pin the full
+output, so a change that alters it the same way on every run still shows.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``, and only when a change of
 output is intended.
 """
@@ -22,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from socialmatch.ccg import ccg_to_json
 from socialmatch.cli import main
+from socialmatch.generators import gen_random_ccg
 
 GOLDEN = Path(__file__).parent / "golden"
 GADGETS = (
@@ -74,6 +78,17 @@ COMMANDS = {
         ["solve", "--method", "greedy"],
         1,
     ),
+    # Equal sharing: the keys are symmetric on every edge, so there is no cycle.
+    "solve-greedy-equal": (
+        ["random", "--seed", "8", "--n", "12"],
+        ["solve", "--method", "greedy"],
+        0,
+    ),
+    "solve-srpq-equal": (
+        ["random", "--seed", "9", "--n", "10", "--alpha", "1/2"],
+        ["solve", "--method", "srpq"],
+        0,
+    ),
     "solve-srpq-matthew": (
         ["random", "--seed", "1", "--n", "8", "--rule", "matthew", "--alpha", "1/2"],
         ["solve", "--method", "srpq"],
@@ -98,6 +113,23 @@ COMMANDS = {
     "dynamics-arbitrary": (
         ["random", "--seed", "13", "--n", "10"],
         ["dynamics", "--method", "arbitrary", "--start", "empty", "--seed", "13"],
+        0,
+    ),
+}
+
+# name -> (gen_random_ccg arguments, exit code)
+CCG_GAMES = {
+    "ccg-atmost-equal": (
+        dict(seed=3, n=6, density=0.6, split="equal", mode="atmost", alpha=("1/2", "1/4")),
+        0,
+    ),
+    "ccg-atmost-matthew": (
+        dict(seed=4, n=6, density=0.6, split="matthew", mode="atmost", alpha=("1/2", "1/4")),
+        0,
+    ),
+    # Edge (2, 5) is forbidden.
+    "ccg-exact-equal": (
+        dict(seed=15, n=6, density=0.35, split="equal", mode="exact", alpha=("1/2",)),
         0,
     ),
 }
@@ -130,6 +162,11 @@ def command_output(name: str, workdir: Path) -> tuple[int, str, str]:
     return _run([command, "--instance", str(path), *flags])
 
 
+def ccg_output(name: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``ccg`` on the named committed game."""
+    return _run(["ccg", "--game", str(GOLDEN / f"{name}.game.json")])
+
+
 @pytest.mark.parametrize("gadget", GADGETS)
 def test_audit_golden(gadget, tmp_path):
     golden = GOLDEN / f"audit-{gadget}.json"
@@ -147,6 +184,14 @@ def test_command_golden(name, tmp_path):
     assert err == (stderr.read_text(encoding="utf-8") if stderr.exists() else "")
 
 
+@pytest.mark.parametrize("name", CCG_GAMES)
+def test_ccg_golden(name):
+    code, out, err = ccg_output(name)
+    assert code == CCG_GAMES[name][1]
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert err == ""
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -161,3 +206,8 @@ if __name__ == "__main__":
             if err:
                 (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
             print(f"wrote {name}", file=sys.stderr)
+    for name, (kwargs, _) in CCG_GAMES.items():
+        (GOLDEN / f"{name}.game.json").write_text(ccg_to_json(gen_random_ccg(**kwargs)), encoding="utf-8")
+        _, text, _ = ccg_output(name)
+        (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
+        print(f"wrote {name}", file=sys.stderr)
