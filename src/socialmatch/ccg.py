@@ -27,7 +27,6 @@ from .instance import (
     InstanceError,
     MatthewSharing,
     ObliviousSharing,
-    build_distances,
     compute_Q,
     normalize_edge,
 )
@@ -59,8 +58,7 @@ class RewardFunction:
 
     product: c*x*y; min: c*min(x, y); powprod: c*(x*y)**k with integer k >= 1.
     All vanish when either contribution is zero and are nondecreasing in
-    each argument; min is not convex in a single argument past its kink and
-    is flagged accordingly.
+    each argument; min is not convex in a single argument past its kink.
     """
 
     family: str
@@ -75,10 +73,6 @@ class RewardFunction:
             raise InstanceError("reward coefficient must be positive")
         if self.family == FAMILY_POWPROD and self.k < 1:
             raise InstanceError("powprod exponent must be a positive integer")
-
-    @property
-    def convex_in_each_argument(self) -> bool:
-        return self.family != FAMILY_MIN
 
     def total(self, x: Fraction, y: Fraction) -> Fraction:
         if self.family == FAMILY_PRODUCT:
@@ -128,13 +122,8 @@ class ContributionGame:
                     )
 
     @cached_property
-    def distances(self):
-        return build_distances(self.graph)
-
-    @cached_property
     def alpha_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        fv = self.friendship
-        return tuple(tuple(fv.at(d) for d in row) for row in self.distances)
+        return self.friendship.matrix(self.graph)
 
     @property
     def local_friendship(self) -> bool:
@@ -170,11 +159,6 @@ class ContributionGame:
             return total, total
         r_u = self._fraction_u(ei, x_u, x_v) * total
         return r_u, total - r_u
-
-    def endpoint_reward(self, ei: int, endpoint: int, x_u: Fraction, x_v: Fraction) -> Fraction:
-        """Node-level reward of one endpoint; see ``endpoint_rewards``."""
-        r_u, r_v = self.endpoint_rewards(ei, x_u, x_v)
-        return r_u if endpoint == self.graph.edges[ei][0] else r_v
 
 
 @dataclass(frozen=True)

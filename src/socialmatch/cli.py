@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from . import generators
 from .ccg import (
+    DEFAULT_GRID_K,
     ccg_audit,
     ccg_from_json,
     detect_forbidden_edges,
@@ -231,6 +232,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_ccg(args) -> int:
     game = ccg_from_json(_read(args.game))
+    enum_max_n, exact_max_n = _caps(args)
     report: dict = {"mode": game.mode}
     if args.profile:
         profile = StrategyProfile.from_dict(json.loads(_read(args.profile)), game)
@@ -242,10 +244,10 @@ def cmd_ccg(args) -> int:
 
     if game.mode == EXACT:
         report["forbidden_edges"] = [list(e) for e in detect_forbidden_edges(game)]
-        profile = tight_budget_equilibrium(game, exact_max_n=args.max_n)
+        profile = tight_budget_equilibrium(game, exact_max_n=exact_max_n)
     else:
         instance = corresponding_matching_game(game)
-        stable = enumerate_stable_matchings(instance, max_n=args.max_n)
+        stable = enumerate_stable_matchings(instance, max_n=enum_max_n)
         if not stable:
             report["equilibrium"] = None
             report["note"] = "no stable matching in the corresponding game"
@@ -256,7 +258,7 @@ def cmd_ccg(args) -> int:
     report["equilibrium"] = profile.to_dict(game)
     report["total_reward"] = rat_str(total_reward(game, profile))
     report["certified"] = verdict.to_dict(game)
-    report["audit"] = ccg_audit(game, max_n=args.max_n, exact_max_n=args.max_n, grid_k=args.grid_k).to_dict()
+    report["audit"] = ccg_audit(game, max_n=enum_max_n, exact_max_n=exact_max_n, grid_k=args.grid_k).to_dict()
     _emit(report, args.format)
     return EXIT_OK if verdict.is_equilibrium else EXIT_NEGATIVE
 
@@ -287,10 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="socialmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance_required: bool = True):
-        if instance_required:
-            p.add_argument("--instance", required=True, help="instance JSON path")
-        p.add_argument("--alpha", help="override friendship vector, e.g. '1/2,1/4'")
+    def max_n(p):
         p.add_argument(
             "--max-n",
             type=int,
@@ -298,6 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"node cap for both enumeration and the exact optimum "
             f"(default: {DEFAULT_ENUM_LIMIT} and {DEFAULT_EXACT_LIMIT})",
         )
+
+    def common(p, instance_required: bool = True):
+        if instance_required:
+            p.add_argument("--instance", required=True, help="instance JSON path")
+        p.add_argument("--alpha", help="override friendship vector, e.g. '1/2,1/4'")
+        max_n(p)
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("gen", help="generate a benchmark instance")
@@ -341,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ccg", help="contribution-game equilibria and audits")
     p.add_argument("--game", required=True, help="contribution game JSON path")
     p.add_argument("--profile", help="check this profile instead of constructing one")
-    p.add_argument("--grid-k", type=int, default=8, dest="grid_k")
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
+    p.add_argument("--grid-k", type=int, default=DEFAULT_GRID_K, dest="grid_k")
+    max_n(p)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_ccg)
 
@@ -352,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", help="contribution game JSON path")
     p.add_argument("--profile", help="profile JSON path")
     p.add_argument("--alpha", help="override friendship vector")
-    p.add_argument("--grid-k", type=int, default=8, dest="grid_k")
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
+    p.add_argument("--grid-k", type=int, default=DEFAULT_GRID_K, dest="grid_k")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_check)
 

@@ -23,8 +23,8 @@ from .matching import (
     SWIVEL,
     Deviation,
     Matching,
-    _pair_check,
     apply_deviation,
+    blocking_pairs,
     deviation_for,
     matching_value,
 )
@@ -95,19 +95,10 @@ class DynamicsTrace:
 def _best_pair(
     instance: GameInstance, matching: Matching, relaxed: bool
 ) -> Optional[Edge]:
-    best: Optional[tuple] = None
-    partner = matching.partner_map
-    for u, v in instance.graph.edges:
-        if partner[u] == v:
-            continue
-        if _pair_check(instance, partner, u, v, relaxed):
-            r = instance.edge_reward(u, v)
-            key = (-r, u, v)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    pairs = blocking_pairs(instance, matching, relaxed)
+    if not pairs:
         return None
-    return (best[1], best[2])
+    return min(pairs, key=lambda p: (-instance.edge_reward(*p), p))
 
 
 def best_relaxed_blocking_pair(instance: GameInstance, matching: Matching) -> Optional[Edge]:
@@ -127,7 +118,7 @@ def _run(
     instance: GameInstance,
     start: Matching,
     pick: Callable[[Matching], Optional[Edge]],
-    kind_for: Callable[[Matching, Edge], str],
+    relaxed: bool,
     policy: str,
     cap: int,
     cap_is_assertion: bool,
@@ -147,7 +138,11 @@ def _run(
             termination = "cap"
             break
         u, v = pair
-        dev = deviation_for(matching, u, v, kind_for(matching, pair))
+        if matching.partner(u) is not None and matching.partner(v) is not None:
+            kind = RELAXED_BISWIVEL if relaxed else BISWIVEL
+        else:
+            kind = SWIVEL
+        dev = deviation_for(matching, u, v, kind)
         matching = apply_deviation(matching, dev)
         steps.append(
             TraceStep(
@@ -167,13 +162,6 @@ def _run(
         termination=termination,
     )
     return matching, trace
-
-
-def _kind(matching: Matching, pair: Edge, relaxed: bool) -> str:
-    u, v = pair
-    if matching.partner(u) is not None and matching.partner(v) is not None:
-        return RELAXED_BISWIVEL if relaxed else BISWIVEL
-    return SWIVEL
 
 
 def run_brbp(
@@ -199,7 +187,7 @@ def run_brbp(
         instance,
         m_star,
         pick=lambda M: best_relaxed_blocking_pair(instance, M),
-        kind_for=lambda M, p: _kind(M, p, relaxed=True),
+        relaxed=True,
         policy="brbp",
         cap=cap,
         cap_is_assertion=assertion,
@@ -218,7 +206,7 @@ def run_best_blocking_pair(
         instance,
         start,
         pick=lambda M: best_blocking_pair(instance, M),
-        kind_for=lambda M, p: _kind(M, p, relaxed=False),
+        relaxed=False,
         policy="bbp",
         cap=cap,
         cap_is_assertion=False,
@@ -237,12 +225,7 @@ def run_arbitrary_dynamics(
     rng = random.Random(seed)
 
     def pick(M: Matching) -> Optional[Edge]:
-        partner = M.partner_map
-        candidates = [
-            (u, v)
-            for u, v in instance.graph.edges
-            if partner[u] != v and _pair_check(instance, partner, u, v, relaxed=False)
-        ]
+        candidates = blocking_pairs(instance, M)
         if not candidates:
             return None
         return candidates[rng.randrange(len(candidates))]
@@ -251,7 +234,7 @@ def run_arbitrary_dynamics(
         instance,
         start,
         pick=pick,
-        kind_for=lambda M, p: _kind(M, p, relaxed=False),
+        relaxed=False,
         policy="arbitrary",
         cap=cap,
         cap_is_assertion=False,

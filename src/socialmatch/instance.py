@@ -2,8 +2,8 @@
 
 A :class:`GameInstance` bundles the graph topology, per-edge rewards, the
 reward-sharing rule, and the friendship vector, together with derived
-quantities (hop distances, the share-ratio parameter R and the stake-ratio
-parameter Q).  All arithmetic is exact rational arithmetic: stability is
+quantities (shares, the share-ratio parameter R and the stake-ratio
+parameter Q); hop distances belong to the :class:`Graph`.  All arithmetic is exact rational arithmetic: stability is
 defined by strict inequalities, and floating point would make blocking-pair
 verdicts nondeterministic.
 """
@@ -88,6 +88,11 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_index
 
+    @cached_property
+    def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """Hop distances of every node pair, built on first use; see ``build_distances``."""
+        return build_distances(self)
+
 
 def build_distances(graph: Graph) -> tuple[tuple[Optional[int], ...], ...]:
     """All-pairs unweighted shortest hop distances (BFS from each node).
@@ -136,6 +141,10 @@ class FriendshipVector:
         if d is None or d < 1 or d > len(self.alpha):
             return ZERO
         return self.alpha[d - 1]
+
+    def matrix(self, graph: Graph) -> tuple[tuple[Fraction, ...], ...]:
+        """The coefficient of every node pair of the graph, by hop distance."""
+        return tuple(tuple(self.at(d) for d in row) for row in graph.distances)
 
     @property
     def alpha1(self) -> Fraction:
@@ -251,14 +260,9 @@ class GameInstance:
     # -- derived structure ------------------------------------------------
 
     @cached_property
-    def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
-        return build_distances(self.graph)
-
-    @cached_property
     def alpha_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """alpha applied to the hop distance of every node pair (0 if disconnected)."""
-        fv = self.friendship
-        return tuple(tuple(fv.at(d) for d in row) for row in self.distances)
+        return self.friendship.matrix(self.graph)
 
     @cached_property
     def shares(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -321,10 +325,14 @@ class GameInstance:
         return table
 
     @cached_property
-    def share_stakes(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Share-based q-values per edge: share + alpha1 * partner share."""
-        a1 = self.friendship.alpha1
-        return tuple((su + a1 * sv, sv + a1 * su) for su, sv in self.shares)
+    def share_ratio(self) -> Optional[Fraction]:
+        """R, the maximum share ratio over ordered endpoint pairs of all edges.
+
+        None when it is undefined: some share is zero, or there is no edge.
+        """
+        if not self.shares or any(su == 0 or sv == 0 for su, sv in self.shares):
+            return None
+        return max(max(su / sv, sv / su) for su, sv in self.shares)
 
     # -- small accessors ---------------------------------------------------
 
@@ -337,22 +345,8 @@ class GameInstance:
     def edge_reward(self, u: int, v: int) -> Fraction:
         return self.rewards[self.edge_id(u, v)]
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        return self.distances[u][v]
-
     def alpha_between(self, u: int, v: int) -> Fraction:
         return self.alpha_matrix[u][v]
-
-    def share_of(self, x: int, u: int, v: int) -> Fraction:
-        """Reward share of endpoint x on edge (u, v)."""
-        i = self.edge_id(u, v)
-        a, b = self.graph.edges[i]
-        su, sv = self.shares[i]
-        if x == a:
-            return su
-        if x == b:
-            return sv
-        raise InstanceError(f"node {x} is not incident to edge ({u},{v})")
 
 
 # -- the public operation surface ------------------------------------------
@@ -364,16 +358,24 @@ def reward_share(instance: GameInstance, node: int, edge: Edge) -> Fraction:
     Equal sharing splits the reward in half; the unequal rules follow their
     defining formulas.  The two shares of an edge always sum to its reward.
     """
-    return instance.share_of(node, *edge)
+    u, v = edge
+    i = instance.edge_id(u, v)
+    a, b = instance.graph.edges[i]
+    su, sv = instance.shares[i]
+    if node == a:
+        return su
+    if node == b:
+        return sv
+    raise InstanceError(f"node {node} is not incident to edge ({u},{v})")
 
 
 def q_value(instance: GameInstance, node: int, edge: Edge) -> Fraction:
     """Effective stake of an endpoint under friendship: own share + alpha1 * partner share."""
     u, v = edge
     a1 = instance.friendship.alpha1
-    own = instance.share_of(node, u, v)
+    own = reward_share(instance, node, edge)
     other = v if node == u else u
-    return own + a1 * instance.share_of(other, u, v)
+    return own + a1 * reward_share(instance, other, edge)
 
 
 def compute_R(instance: GameInstance) -> Fraction:
@@ -381,18 +383,13 @@ def compute_R(instance: GameInstance) -> Fraction:
 
     Undefined (raises) when some share is zero.
     """
-    best: Optional[Fraction] = None
-    for i, (su, sv) in enumerate(instance.shares):
+    r = instance.share_ratio
+    if r is not None:
+        return r
+    for edge, (su, sv) in zip(instance.graph.edges, instance.shares):
         if su == 0 or sv == 0:
-            raise UndefinedRatioError(
-                f"zero share on edge {instance.graph.edges[i]}: share ratio undefined"
-            )
-        ratio = max(su / sv, sv / su)
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
-        raise UndefinedRatioError("instance has no edges: share ratio undefined")
-    return best
+            raise UndefinedRatioError(f"zero share on edge {edge}: share ratio undefined")
+    raise UndefinedRatioError("instance has no edges: share ratio undefined")
 
 
 def compute_Q(instance: GameInstance) -> Fraction:

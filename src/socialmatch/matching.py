@@ -10,7 +10,6 @@ do not depend on the matching.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -73,9 +72,6 @@ class Matching:
 
     def to_dict(self) -> dict:
         return {"pairs": [list(p) for p in self.sorted_pairs()]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
 
     @staticmethod
     def from_dict(doc: dict, n: int) -> "Matching":
@@ -294,10 +290,6 @@ def is_stable(instance: GameInstance, matching: Matching) -> StabilityResult:
     matching.validate_against(instance)
     pairs = blocking_pairs(instance, matching, relaxed=False)
     return StabilityResult(stable=not pairs, blocking_pairs=pairs)
-
-
-def is_relaxed_stable(instance: GameInstance, matching: Matching) -> bool:
-    return not blocking_pairs(instance, matching, relaxed=True)
 
 
 def deviation_for(matching: Matching, u: int, v: int, kind: str) -> Deviation:

@@ -18,10 +18,8 @@ from .instance import (
     GameInstance,
     Graph,
     TrustSharing,
-    UndefinedRatioError,
     compute_Q,
     compute_Q_prime,
-    compute_R,
 )
 from .matching import Matching, _pair_check, matching_value
 from .rationals import rat_str, rescale
@@ -286,10 +284,7 @@ def audit_bounds(
     poa = optimum / worst if worst else None
     pos = optimum / best if best else None
 
-    try:
-        r_param: Optional[Fraction] = compute_R(instance)
-    except UndefinedRatioError:
-        r_param = None
+    r_param = instance.share_ratio
     q_param = compute_Q(instance) if r_param is not None else None
     q_prime = compute_Q_prime(instance) if r_param is not None else None
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .instance import ZERO, GameInstance
+from .instance import GameInstance, q_value, reward_share
 from .matching import Matching, is_stable
 from .oracle import DEFAULT_ENUM_LIMIT, enumerate_matchings
 from .rationals import rescale
@@ -30,34 +30,35 @@ class PreferenceCycleError(ValueError):
         self.cycle = cycle
 
 
-def _keys(instance: GameInstance, mode: str) -> tuple[tuple[Fraction, Fraction], ...]:
+def _column(mode: str) -> int:
+    """Column of ``GameInstance.oriented_edges`` that holds the mode's key."""
     if mode == MODE_RAW:
-        return instance.shares
+        return 1  # own endpoint reward
     if mode == MODE_Q:
-        return instance.share_stakes
+        return 0  # stake
     raise ValueError(f"unknown preference mode {mode!r}")
 
 
 def preference_key(instance: GameInstance, mode: str, x: int, y: int) -> Fraction:
     """Key node x assigns to neighbor y (share or q-value of x on edge (x, y))."""
-    i = instance.edge_id(x, y)
-    a, _ = instance.graph.edges[i]
-    ku, kv = _keys(instance, mode)[i]
-    return ku if x == a else kv
+    key = q_value if _column(mode) == 0 else reward_share
+    return key(instance, x, (x, y))
 
 
 def _key_table(instance: GameInstance, mode: str) -> tuple[dict[int, int], ...]:
     """Per node x, per neighbour y: the key x assigns to y, rescaled to an integer.
 
-    The preference machinery only compares keys, and rescaling keeps every
-    strict order and every tie.
+    The key is read from ``oriented_edges``: the endpoint reward (raw) or
+    the stake (q).  Those equal the share and the q-value, or twice them
+    under equal sharing, on every edge.  The preference machinery only
+    compares keys, with each other and with 0, and a positive factor common
+    to all of them keeps every strict order, every tie and every sign.
     """
-    _, scaled = rescale(k for pair in _keys(instance, mode) for k in pair)
-    table: tuple[dict[int, int], ...] = tuple({} for _ in range(instance.graph.n))
-    for i, (u, v) in enumerate(instance.graph.edges):
-        table[u][v] = scaled[2 * i]
-        table[v][u] = scaled[2 * i + 1]
-    return table
+    column = _column(mode)
+    rows = instance.oriented_edges
+    _, scaled = rescale(terms[column] for row in rows for terms in row.values())
+    keys = iter(scaled)
+    return tuple({y: next(keys) for y in row} for row in rows)
 
 
 @dataclass(frozen=True)
@@ -250,15 +251,15 @@ def is_stable_srp(instance: GameInstance, matching: Matching, mode: str) -> bool
     A pair blocks when both sides strictly prefer each other over their
     current situation; being unmatched has key zero.
     """
+    keys = _key_table(instance, mode)
     partner = matching.partner_map
     for u, v in instance.graph.edges:
-        if partner[u] == v:
+        pu, pv = partner[u], partner[v]
+        if pu == v:
             continue
-        base_u = preference_key(instance, mode, u, partner[u]) if partner[u] is not None else ZERO
-        if preference_key(instance, mode, u, v) <= base_u:
+        if keys[u][v] <= (0 if pu is None else keys[u][pu]):
             continue
-        base_v = preference_key(instance, mode, v, partner[v]) if partner[v] is not None else ZERO
-        if preference_key(instance, mode, v, u) > base_v:
+        if keys[v][u] > (0 if pv is None else keys[v][pv]):
             return False
     return True
 

@@ -300,3 +300,30 @@ def test_explicit_max_n_caps_the_exact_optimum(tmp_path, capsys):
         code, out, err = run(capsys, command, "--instance", str(path), "--method", "brbp", "--max-n", "12")
         assert code == 1 and out == ""
         assert err == "limit: n=16 exceeds exact-optimum limit 12\n"
+
+
+def test_check_has_no_max_n(tmp_path, capsys):
+    # check enumerates nothing and computes no optimum, so it takes no cap.
+    ipath = tmp_path / "i6.json"
+    run(capsys, "gen", "random", "--n", "6", "--out", str(ipath))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"pairs": []}))
+    code, out, err = run(capsys, "check", "--instance", str(ipath), "--matching", str(mpath), "--max-n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "unrecognized arguments: --max-n 2" in err
+
+
+def test_ccg_max_n_default_applies_each_library_cap(tmp_path, capsys):
+    # n=14 is over the enumeration cap but within the exact-optimum cap,
+    # which is all an exact-mode game needs.
+    game = gen_random_ccg(seed=3, n=14, density=0.25, split="equal", mode="exact", alpha=("1/2",))
+    gpath = tmp_path / "g14.json"
+    gpath.write_text(ccg_to_json(game))
+    code, out, err = run(capsys, "ccg", "--game", str(gpath))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["certified"]["is_equilibrium"] is True
+    assert doc["audit"]["checked"] is True and doc["audit"]["passed"] is True
+    code, out, err = run(capsys, "ccg", "--game", str(gpath), "--max-n", "12")
+    assert code == 1 and out == ""
+    assert err == "limit: n=14 exceeds exact-optimum limit 12\n"

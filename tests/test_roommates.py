@@ -13,10 +13,11 @@ from socialmatch.roommates import (
     greedy_mutual_best,
     is_stable_srp,
     preference_key,
+    _key_table,
     preference_profile,
     solve_srp_q,
 )
-from helpers import ALPHA_SAMPLES, bfs_preference_cycle, equal_instance, oblivious_instance
+from helpers import ALPHA_SAMPLES, PATH3, bfs_preference_cycle, equal_instance, oblivious_instance
 from socialmatch.generators import (
     gen_cyclic_triangle,
     gen_matthew_poa_tight,
@@ -82,6 +83,31 @@ def test_cycle_detector_matches_per_arc_bfs(rule):
                 cycles += found is not None
     if rule == "oblivious":
         assert cycles > 0
+
+
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_key_table_ranks_as_preference_key(rule):
+    # _key_table reads oriented_edges, preference_key reads the shares.  At
+    # every node the two must give the same strict order, the same ties and
+    # the same sign against 0; zero shares put keys on 0 itself.
+    zero_shares = {(0, 1): (0, 2), (1, 2): (1, 1), (2, 3): (3, 0)}
+    for mode in (MODE_RAW, MODE_Q):
+        for alpha in ALPHA_SAMPLES:
+            instances = [oblivious_instance(PATH3, zero_shares, alpha)] if rule == "oblivious" else []
+            instances += [gen_random(seed=n, n=n, density=0.5, rule=rule, alpha=alpha) for n in range(2, 13)]
+            for inst in instances:
+                table = _key_table(inst, mode)
+                for x, row in enumerate(table):
+                    exact = {y: preference_key(inst, mode, x, y) for y in inst.graph.adjacency[x]}
+                    assert list(row) == list(exact)
+                    for y, key in exact.items():
+                        assert _cmp(row[y], 0) == _cmp(key, 0)
+                        for z, other in exact.items():
+                            assert _cmp(row[y], row[z]) == _cmp(key, other), (rule, mode, alpha, x, y, z)
 
 
 @pytest.mark.parametrize("mode", [MODE_RAW, MODE_Q])
