@@ -232,7 +232,6 @@ def cmd_dynamics(args) -> int:
 
 def cmd_ccg(args) -> int:
     game = ccg_from_json(_read(args.game))
-    enum_max_n, exact_max_n = _caps(args)
     report: dict = {"mode": game.mode}
     if args.profile:
         profile = StrategyProfile.from_dict(json.loads(_read(args.profile)), game)
@@ -242,6 +241,7 @@ def cmd_ccg(args) -> int:
         _emit(report, args.format)
         return EXIT_OK if verdict.is_equilibrium else EXIT_NEGATIVE
 
+    enum_max_n, exact_max_n = _caps(args)
     if game.mode == EXACT:
         report["forbidden_edges"] = [list(e) for e in detect_forbidden_edges(game)]
         profile = tight_budget_equilibrium(game, exact_max_n=exact_max_n)

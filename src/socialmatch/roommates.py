@@ -251,7 +251,10 @@ def is_stable_srp(instance: GameInstance, matching: Matching, mode: str) -> bool
     A pair blocks when both sides strictly prefer each other over their
     current situation; being unmatched has key zero.
     """
-    keys = _key_table(instance, mode)
+    return _srp_stable(instance, _key_table(instance, mode), matching)
+
+
+def _srp_stable(instance: GameInstance, keys: tuple[dict[int, int], ...], matching: Matching) -> bool:
     partner = matching.partner_map
     for u, v in instance.graph.edges:
         pu, pv = partner[u], partner[v]
@@ -279,10 +282,11 @@ def solve_srp_q(
         result = greedy_mutual_best(instance, MODE_Q, check_cycles=False)
     else:
         result = None
+        keys = _key_table(instance, MODE_Q)
         for m in sorted(
             enumerate_matchings(instance.graph, max_n=max_n), key=lambda m: m.sorted_pairs()
         ):
-            if is_stable_srp(instance, m, MODE_Q):
+            if _srp_stable(instance, keys, m):
                 result = m
                 break
         if result is None:

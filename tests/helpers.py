@@ -66,19 +66,21 @@ def bfs_preference_cycle(instance: GameInstance, mode: str) -> Optional[tuple[in
 
     Same digraph of oriented edges, same strict-arc order and same BFS, so
     the first strict arc that closes a cycle gives the same witness; each
-    key is read through ``preference_key``.
+    key is read once through ``preference_key``, which computes the exact
+    share or q-value, where the detector reads the rescaled integer table.
     """
     graph = instance.graph
     states = sorted([(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges])
     index = {s: i for i, s in enumerate(states)}
+    key = {(x, y): preference_key(instance, mode, x, y) for x, y in states}
     succ: list[list[int]] = [[] for _ in states]
     strict_arcs: list[tuple[int, int]] = []
     for si, (a, b) in enumerate(states):
-        kb_a = preference_key(instance, mode, b, a)
+        kb_a = key[(b, a)]
         for c in graph.adjacency[b]:
             if c == a:
                 continue
-            kb_c = preference_key(instance, mode, b, c)
+            kb_c = key[(b, c)]
             if kb_c >= kb_a:
                 ti = index[(b, c)]
                 succ[si].append(ti)
