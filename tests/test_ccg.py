@@ -413,6 +413,58 @@ def test_checker_deltas_match_full_recomputation():
     assert kinds == {"unilateral", "bilateral", "pair-split"}
 
 
+def mixed_game(mode=ATMOST):
+    """One edge of each split, a min edge, an edge with both powprod
+    exponents, and the proportional edge (3, 4), on which every profile
+    below starts with both contributions at 0."""
+    return ContributionGame(
+        graph=Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5))),
+        budgets=(F(2), F(3), F(1), F(2), F(3, 2), F(1)),
+        functions=(
+            RewardFunction("product", F(3, 2)),
+            RewardFunction("min", F(2)),
+            RewardFunction("powprod", F(1, 3), k=2),
+            RewardFunction("product", F(5, 2)),
+            RewardFunction("product", F(1)),
+            RewardFunction("powprod", F(1)),
+            RewardFunction("min", F(2, 3)),
+        ),
+        splits=("equal", "equal", "matthew", "proportional", "proportional", "equal", "matthew"),
+        friendship=FriendshipVector((F(1, 2), F(1, 4))),
+        mode=mode,
+        lam=(F(1), F(2), F(3), F(1), F(2), F(4)),
+    )
+
+
+def test_checker_deltas_on_mixed_game():
+    # Every split, both reward shapes and an edge that starts at zero in one
+    # game: the checker's changes equal a full recomputation.
+    from socialmatch.ccg import _Checker
+
+    atmost = {0: {0: F(1, 2), 1: F(1)}, 1: {0: F(1), 2: F(1)}, 2: {1: F(1, 3), 3: F(1, 2)},
+              3: {3: F(1), 5: F(1, 2)}, 4: {6: F(1)}, 5: {6: F(1, 2)}}
+    exact = {0: {0: F(1), 1: F(1)}, 1: {0: F(2), 2: F(1)}, 2: {1: F(1, 2), 3: F(1, 2)},
+             3: {3: F(3, 2), 5: F(1, 2)}, 4: {6: F(3, 2)}, 5: {5: F(1, 2), 6: F(1, 2)}}
+    kinds = set()
+    for mode, spend in ((ATMOST, atmost), (EXACT, exact)):
+        game = mixed_game(mode)
+        start = StrategyProfile.build(game, [[spend[v].get(ei, F(0)) for ei in range(7)] for v in range(6)])
+        assert start.contributions(game, 4) == (0, 0)
+        for profile, _ in witness_chain(game, start, 4, grid_k=4):
+            checker = _Checker(game, profile, grid_k=4)
+            before = perceived_utilities(game, profile)
+            for i, (kind, nodes, rows, deltas) in enumerate(checker.moves()):
+                if i % 3:
+                    continue
+                new_rows = [list(r) for r in profile.alloc]
+                for node, row in zip(nodes, rows):
+                    new_rows[node] = list(checker.to_fractions(row))
+                after = perceived_utilities(game, StrategyProfile.build(game, new_rows))
+                assert deltas == tuple(after[v] - before[v] for v in nodes), (mode, kind, nodes)
+                kinds.add(kind)
+    assert kinds == {"unilateral", "bilateral", "pair-split"}
+
+
 def test_ccg_audit_single_edge():
     report = ccg_audit(single_edge_game())
     assert report.optimum == 1

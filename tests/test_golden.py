@@ -127,6 +127,10 @@ CCG_GAMES = {
         dict(seed=4, n=6, density=0.6, split="matthew", mode="atmost", alpha=("1/2", "1/4")),
         0,
     ),
+    "ccg-atmost-proportional": (
+        dict(seed=6, n=6, density=0.6, split="proportional", mode="atmost", alpha=("1/2", "1/4")),
+        0,
+    ),
     # Edge (2, 5) is forbidden.
     "ccg-exact-equal": (
         dict(seed=15, n=6, density=0.35, split="equal", mode="exact", alpha=("1/2",)),
