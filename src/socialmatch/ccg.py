@@ -32,7 +32,7 @@ from .instance import (
 )
 from .matching import Matching, is_stable
 from .oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, enumerate_stable_matchings, max_weight_matching
-from .rationals import rat, rat_str
+from .rationals import rat, rat_str, rescale
 
 ATMOST = "atmost"
 EXACT = "exact"
@@ -71,8 +71,8 @@ class RewardFunction:
             raise InstanceError(f"unknown reward family {self.family!r}")
         if self.c <= 0:
             raise InstanceError("reward coefficient must be positive")
-        if self.family == FAMILY_POWPROD and self.k < 1:
-            raise InstanceError("powprod exponent must be a positive integer")
+        if type(self.k) is not int or self.k < 1:  # a bool is not an exponent
+            raise InstanceError(f"reward exponent must be a positive integer, got {self.k!r}")
 
     def total(self, x: Fraction, y: Fraction) -> Fraction:
         if self.family == FAMILY_PRODUCT:
@@ -370,14 +370,27 @@ class PEVerdict:
 
 
 class _Checker:
-    """Deviation enumeration against a profile, on an integer grid.
+    """Deviation enumeration against a profile, on integers.
 
     Every candidate contribution is an integer multiple of ``1/scale``, where
     ``scale`` is the lcm of the denominators of the profile entries and the
     budgets, times K: transfers ``t*x`` with ``t = i/K``, the ``(1-t)``
     rescalings and full-budget concentrations all stay on it.  Candidate rows
-    are therefore ``int`` lists.  Rewards stay exact ``Fraction``s, since a
-    proportional split's denominator changes with every candidate.
+    are therefore ``int`` lists.
+
+    Rewards are integer multiples of ``1/reward_unit``, one scale for the
+    whole check: ``scale`` to the largest degree of a reward polynomial,
+    times the lcm of the denominators of each ``c`` and of ``c`` times each
+    matthew fraction, times the lcm of the nonzero current sums ``X_u + X_v``
+    of proportional edges.  The friendship table is scaled to integers by the
+    lcm of the alpha denominators, ``alpha_unit``, so utilities are integer
+    multiples of ``1/unit``, ``unit = reward_unit * alpha_unit``.  A
+    proportional edge's new shares ``X_u/(X_u + X_v)`` are not reduced: its
+    reward changes carry the positive denominator ``X_u + X_v``, and sums of
+    changes cross-multiply.  A candidate's utility changes are therefore
+    integer numerators over one positive integer denominator, it improves
+    when every numerator is positive, and only a witness is turned back into
+    ``Fraction``s.
 
     An observer's utility change is a sum of per-edge terms, and only edges
     whose contributions change have a nonzero term.  Two movers share at most
@@ -387,21 +400,62 @@ class _Checker:
 
     def __init__(self, game: ContributionGame, profile: StrategyProfile, grid_k: int):
         self.game = game
+        self.profile = profile
         self.k = grid_k
         denominators = [x.denominator for row in profile.alloc for x in row]
         denominators += [b.denominator for b in game.budgets]
         self.scale = lcm(*denominators) * grid_k
         self.alloc = [[self._to_int(x) for x in row] for row in profile.alloc]
         self.budgets = [self._to_int(b) for b in game.budgets]
-        self.utilities = perceived_utilities(game, profile)
-        self.alpha1 = game.friendship.alpha1
-        self.current: list[tuple[Fraction, Fraction]] = []
-        # (edge, X_u, X_v) -> (reward change of u, of v, utility change of u, of v)
-        self._gains: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction, Fraction]] = {}
+
+        # Per edge: the power of X_u*X_v in the reward (None for min), and the
+        # fractions of c*poly/scale**degree that u and v get before a
+        # proportional split.
+        powers: list[Optional[int]] = []
+        coefficients: list[tuple[Fraction, Fraction]] = []
+        sums = []
         for ei, (u, v) in enumerate(game.graph.edges):
-            x_u, x_v = profile.contributions(game, ei)
-            self.current.append(game.endpoint_rewards(ei, x_u, x_v))
-            self._gains[(ei, self.alloc[u][ei], self.alloc[v][ei])] = (ZERO, ZERO, ZERO, ZERO)
+            f = game.functions[ei]
+            powers.append(None if f.family == FAMILY_MIN else f.k if f.family == FAMILY_POWPROD else 1)
+            c_u = c_v = f.c
+            if game.splits[ei] == SPLIT_MATTHEW:
+                c_u = f.c * game._fraction_u(ei, ZERO, ZERO)
+                c_v = f.c - c_u
+            elif game.splits[ei] == SPLIT_PROPORTIONAL and self.alloc[u][ei] + self.alloc[v][ei]:
+                sums.append(self.alloc[u][ei] + self.alloc[v][ei])
+            coefficients.append((c_u, c_v))
+        degrees = [1 if power is None else 2 * power for power in powers]
+        self.reward_unit = (
+            self.scale ** max(degrees, default=0)
+            * lcm(*(c.denominator for pair in coefficients for c in pair))
+            * lcm(*sums)
+        )
+        self.alpha_unit, alpha = rescale(game.friendship.alpha)
+        self.alpha1 = alpha[0] if alpha else 0
+        self.alpha = [[a.numerator * (self.alpha_unit // a.denominator) for a in row] for row in game.alpha_matrix]
+        self.unit = self.reward_unit * self.alpha_unit
+
+        # Per edge: (power, integer coefficient of u, of v, proportional?).
+        self.edges = []
+        for ei, (power, d, (c_u, c_v)) in enumerate(zip(powers, degrees, coefficients)):
+            per_degree = self.reward_unit // self.scale**d
+            proportional = game.splits[ei] == SPLIT_PROPORTIONAL
+            self.edges.append((power, self._integral(c_u * per_degree), self._integral(c_v * per_degree), proportional))
+
+        self.current: list[tuple[int, int]] = []  # rewards at the profile, in units of 1/reward_unit
+        # (edge, X_u, X_v) -> (reward change of u, of v, utility change of u,
+        # of v, positive denominator of all four)
+        self._gains: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
+        for ei, (u, v) in enumerate(game.graph.edges):
+            x_u, x_v = self.alloc[u][ei], self.alloc[v][ei]
+            r_u, r_v, den = self._rewards(ei, x_u, x_v)
+            self.current.append((self._integral(Fraction(r_u, den)), self._integral(Fraction(r_v, den))))
+            self._gains[(ei, x_u, x_v)] = (0, 0, 0, 0, 1)
+
+    @staticmethod
+    def _integral(x: Fraction) -> int:
+        assert x.denominator == 1, f"{x} is not an integer on the utility scale"
+        return x.numerator
 
     def _to_int(self, x: Fraction) -> int:
         return x.numerator * (self.scale // x.denominator)
@@ -409,42 +463,62 @@ class _Checker:
     def to_fractions(self, row: Sequence[int]) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.scale) for x in row)
 
-    def _gain(self, ei: int, x_u: int, x_v: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def utility_changes(self, changes: tuple[Sequence[int], int]) -> tuple[Fraction, ...]:
+        """The exact utility changes that a candidate's (numerators, denominator) stand for."""
+        numerators, den = changes
+        return tuple(Fraction(x, den * self.unit) for x in numerators)
+
+    def _rewards(self, ei: int, x_u: int, x_v: int) -> tuple[int, int, int]:
+        """Rewards of edge ei's endpoints at contributions (x_u, x_v): two
+        numerators in units of 1/reward_unit over one positive denominator."""
+        power, c_u, c_v, proportional = self.edges[ei]
+        poly = min(x_u, x_v) if power is None else (x_u * x_v) ** power
+        if proportional and x_u + x_v:
+            return c_u * poly * x_u, c_v * poly * x_v, x_u + x_v
+        return c_u * poly, c_v * poly, 1
+
+    def _gain(self, ei: int, x_u: int, x_v: int) -> tuple[int, int, int, int, int]:
         """Reward changes of edge ei's endpoints at contributions (x_u, x_v),
-        and what they change in the endpoints' own utilities."""
+        what they change in the endpoints' own utilities, and the positive
+        denominator of all four."""
         key = (ei, x_u, x_v)
         gain = self._gains.get(key)
         if gain is None:
             r_u, r_v = self.current[ei]
-            new_u, new_v = self.game.endpoint_rewards(ei, Fraction(x_u, self.scale), Fraction(x_v, self.scale))
-            d_u, d_v = new_u - r_u, new_v - r_v
-            a = self.alpha1
-            gain = self._gains[key] = (d_u, d_v, d_u + a * d_v, d_v + a * d_u)
+            new_u, new_v, den = self._rewards(ei, x_u, x_v)
+            d_u, d_v = new_u - r_u * den, new_v - r_v * den
+            a, w = self.alpha1, self.alpha_unit
+            gain = self._gains[key] = (d_u, d_v, w * d_u + a * d_v, w * d_v + a * d_u, den)
         return gain
 
-    def _side(self, v: int, row: Sequence[int], skip: Optional[int], observers: tuple[int, ...]) -> list[Fraction]:
+    def _side(
+        self, v: int, row: Sequence[int], skip: Optional[int], observers: tuple[int, ...]
+    ) -> tuple[list[int], int]:
         """Utility changes of the observers from v's allocation row on v's
-        incident edges other than ``skip``."""
+        incident edges other than ``skip``: numerators over one denominator."""
         game = self.game
         cur = self.alloc[v]
-        sums = [ZERO] * len(observers)
+        sums = [0] * len(observers)
+        den = 1
         for ej in game.graph.incident_edges[v]:
             if ej == skip or row[ej] == cur[ej]:
                 continue
             a, b = game.graph.edges[ej]
             if a == v:
-                gain = self._gain(ej, row[ej], self.alloc[b][ej])
+                d_a, d_b, g_a, g_b, d = self._gain(ej, row[ej], self.alloc[b][ej])
             else:
-                gain = self._gain(ej, self.alloc[a][ej], row[ej])
+                d_a, d_b, g_a, g_b, d = self._gain(ej, self.alloc[a][ej], row[ej])
             for i, w in enumerate(observers):
                 if w == a:
-                    sums[i] += gain[2]
+                    term = g_a
                 elif w == b:
-                    sums[i] += gain[3]
+                    term = g_b
                 else:
-                    alpha = game.alpha_matrix[w]
-                    sums[i] += alpha[a] * gain[0] + alpha[b] * gain[1]
-        return sums
+                    alpha = self.alpha[w]
+                    term = alpha[a] * d_a + alpha[b] * d_b
+                sums[i] = sums[i] * d + term * den
+            den *= d
+        return sums, den
 
     # -- candidate generators -------------------------------------------
 
@@ -517,27 +591,27 @@ class _Checker:
         sides_u = [self._side(u, row, shared, observers) for row in rows_u]
         sides_v = [self._side(v, row, shared, observers) for row in rows_v]
         cur_u, cur_v = self.alloc[u], self.alloc[v]
-        for row_u, (uu, uv) in zip(rows_u, sides_u):
-            for row_v, (vu, vv) in zip(rows_v, sides_v):
+        for row_u, ((uu, uv), den_u) in zip(rows_u, sides_u):
+            for row_v, ((vu, vv), den_v) in zip(rows_v, sides_v):
                 if row_u == cur_u and row_v == cur_v:
                     continue
-                du, dv = uu + vu, uv + vv
+                du, dv, den = uu * den_v + vu * den_u, uv * den_v + vv * den_u, den_u * den_v
                 if shared is not None:
-                    gain = self._gain(shared, row_u[shared], row_v[shared])
-                    du += gain[2]
-                    dv += gain[3]
-                yield kind, observers, (row_u, row_v), (du, dv)
+                    _, _, g_u, g_v, d = self._gain(shared, row_u[shared], row_v[shared])
+                    du, dv, den = du * d + g_u * den, dv * d + g_v * den, den * d
+                yield kind, observers, (row_u, row_v), ((du, dv), den)
 
     def moves(self):
         """Yield (kind, nodes, int rows, utility changes of the nodes) for
-        every candidate deviation, in certification order."""
+        every candidate deviation, in certification order; the changes are
+        (numerators, positive denominator) in units of 1/unit."""
         game = self.game
         n = game.graph.n
         incident = game.graph.incident_edges
         # Unilateral moves.
         for v in range(n):
             for row in self.unilateral(v):
-                yield "unilateral", (v,), (row,), tuple(self._side(v, row, None, (v,)))
+                yield "unilateral", (v,), (row,), self._side(v, row, None, (v,))
         # Bilateral moves onto a common edge.
         steps = range(self.k + 1)
         for ei, (u, v) in enumerate(game.graph.edges):
@@ -561,16 +635,23 @@ class _Checker:
                             yield move  # both moving onto the shared edge is bilateral
 
     def check(self) -> Optional[DeviationWitness]:
-        for kind, nodes, rows, deltas in self.moves():
-            if all(d > 0 for d in deltas):
+        for kind, nodes, rows, changes in self.moves():
+            if min(changes[0]) > 0:
+                utilities = perceived_utilities(self.game, self.profile)
+                before = tuple(utilities[v] for v in nodes)
                 return DeviationWitness(
                     kind=kind,
                     nodes=nodes,
                     new_rows=tuple(self.to_fractions(row) for row in rows),
-                    utilities_before=tuple(self.utilities[v] for v in nodes),
-                    utilities_after=tuple(self.utilities[v] + d for v, d in zip(nodes, deltas)),
+                    utilities_before=before,
+                    utilities_after=tuple(b + d for b, d in zip(before, self.utility_changes(changes))),
                 )
         return None
+
+
+def _require_grid(grid_k: int) -> None:
+    if grid_k < 1:
+        raise InstanceError(f"grid_k must be at least 1, got {grid_k}")
 
 
 def is_pairwise_equilibrium(
@@ -582,6 +663,7 @@ def is_pairwise_equilibrium(
     Transfer fractions run over {1/K, ..., 1}; full-budget transfers, the
     decisive deviations for convex families, are always included.
     """
+    _require_grid(grid_k)
     witness = _Checker(game, profile, grid_k).check()
     if witness is None:
         return PEVerdict(is_equilibrium=True, certificate="grid-certified", grid_k=grid_k, witness=None)
@@ -717,6 +799,7 @@ def ccg_audit(
     An audit that certifies no equilibrium is reported as unchecked, and
     not as passed.
     """
+    _require_grid(grid_k)
     instance = corresponding_matching_game(game)
     _, optimum = max_weight_matching(instance, max_n=exact_max_n)
     q_param = compute_Q(instance)
@@ -791,18 +874,17 @@ def ccg_from_dict(doc: dict) -> ContributionGame:
         n = int(doc["nodes"])
         budgets = tuple(rat(b) for b in doc["budgets"])
         mode = doc.get("mode", ATMOST)
-        functions_doc = doc["functions"]
         alpha = tuple(rat(a) for a in doc.get("alpha", []))
-    except (KeyError, TypeError) as exc:
+        lam = tuple(rat(x) for x in doc["lambda"]) if "lambda" in doc else None
+        entries = []
+        for entry in doc["functions"]:
+            e = normalize_edge(int(entry["edge"][0]), int(entry["edge"][1]))
+            f = RewardFunction(family=entry["family"], c=rat(entry["c"]), k=entry.get("k", 1))
+            entries.append((e, f, entry.get("split", {"kind": SPLIT_EQUAL})["kind"]))
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise InstanceError(f"malformed contribution game document: {exc}") from exc
-    entries = []
-    for entry in functions_doc:
-        e = normalize_edge(int(entry["edge"][0]), int(entry["edge"][1]))
-        f = RewardFunction(family=entry["family"], c=rat(entry["c"]), k=int(entry.get("k", 1)))
-        entries.append((e, f, entry.get("split", {"kind": SPLIT_EQUAL})["kind"]))
     entries.sort(key=lambda t: t[0])
     graph = Graph(n, tuple(e for e, _, _ in entries))
-    lam = tuple(rat(x) for x in doc["lambda"]) if "lambda" in doc else None
     return ContributionGame(
         graph=graph,
         budgets=budgets,

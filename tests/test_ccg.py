@@ -10,6 +10,7 @@ from socialmatch.ccg import (
     RewardFunction,
     StrategyProfile,
     ccg_audit,
+    ccg_from_dict,
     ccg_from_json,
     ccg_to_json,
     corresponding_matching_game,
@@ -406,7 +407,9 @@ def test_checker_deltas_match_full_recomputation():
                     for node, row in zip(nodes, rows):
                         new_rows[node] = list(checker.to_fractions(row))
                     after = perceived_utilities(game, StrategyProfile.build(game, new_rows))
-                    assert deltas == tuple(after[v] - before[v] for v in nodes), (seed, split, kind, nodes)
+                    assert checker.utility_changes(deltas) == tuple(after[v] - before[v] for v in nodes), (
+                        seed, split, kind, nodes,
+                    )
                     kinds.add(kind)
                     sampled.update(nodes)
                 assert sampled == movers, (seed, split)
@@ -460,7 +463,7 @@ def test_checker_deltas_on_mixed_game():
                 for node, row in zip(nodes, rows):
                     new_rows[node] = list(checker.to_fractions(row))
                 after = perceived_utilities(game, StrategyProfile.build(game, new_rows))
-                assert deltas == tuple(after[v] - before[v] for v in nodes), (mode, kind, nodes)
+                assert checker.utility_changes(deltas) == tuple(after[v] - before[v] for v in nodes), (mode, kind, nodes)
                 kinds.add(kind)
     assert kinds == {"unilateral", "bilateral", "pair-split"}
 
@@ -516,6 +519,29 @@ def test_profile_validation():
     exact = single_edge_game(mode=EXACT)
     with pytest.raises(InstanceError):
         StrategyProfile.build(exact, [[F(1, 2)], [F(1)]])
+
+
+def test_grid_k_below_one_is_rejected():
+    game = single_edge_game()
+    profile = StrategyProfile.build(game, [[F(0)], [F(0)]])
+    for k in (0, -2):
+        with pytest.raises(InstanceError, match="grid_k"):
+            is_pairwise_equilibrium(game, profile, grid_k=k)
+        with pytest.raises(InstanceError, match="grid_k"):
+            ccg_audit(game, grid_k=k)
+
+
+def test_reward_exponent_must_be_a_positive_int():
+    # A float exponent would put floats into rewards, and the checker's
+    # integer kernel needs an integer power.
+    for family in ("product", "min", "powprod"):
+        for k in (2.0, 2.5, True, 0, -1, "2", F(2)):
+            with pytest.raises(InstanceError, match="exponent"):
+                RewardFunction(family, F(1), k=k)
+    assert RewardFunction("powprod", F(1), k=2).total(F(1, 2), F(1, 3)) == F(1, 36)
+    doc = {"nodes": 2, "budgets": ["1", "1"], "functions": [{"edge": [0, 1], "family": "powprod", "c": "1", "k": 2.5}]}
+    with pytest.raises(InstanceError, match="exponent"):
+        ccg_from_dict(doc)
 
 
 def test_exact_mode_requires_edge_for_budgeted_nodes():

@@ -327,3 +327,43 @@ def test_ccg_max_n_default_applies_each_library_cap(tmp_path, capsys):
     code, out, err = run(capsys, "ccg", "--game", str(gpath), "--max-n", "12")
     assert code == 1 and out == ""
     assert err == "limit: n=14 exceeds exact-optimum limit 12\n"
+
+
+def test_grid_k_below_one_exit_1(tmp_path, capsys):
+    # The empty profile of a one-edge game has an improving deviation, and a
+    # grid with no steps must not certify it.
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({
+        "nodes": 2, "budgets": ["1", "1"],
+        "functions": [{"edge": [0, 1], "family": "powprod", "c": "1", "k": 2}],
+    }))
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps({"alloc": []}))
+    code, out, _ = run(capsys, "ccg", "--game", str(gpath), "--profile", str(ppath))
+    assert code == 2 and json.loads(out)["check"]["is_equilibrium"] is False
+    for k in ("0", "-2"):
+        for command in (["ccg"], ["ccg", "--profile", str(ppath)], ["check", "--profile", str(ppath)]):
+            code, out, err = run(capsys, *command, "--game", str(gpath), "--grid-k", k)
+            assert code == 1 and out == "", (command, k)
+            assert err == f"error: grid_k must be at least 1, got {k}\n"
+
+
+def test_ccg_malformed_function_entries_exit_1(tmp_path, capsys):
+    base = {"edge": [0, 1], "family": "product", "c": "1"}
+    bad_entries = (
+        {**base, "split": "equal"},  # the split is an object, not a string
+        {**base, "edge": [0]},
+        {**base, "edge": 3},
+        {"edge": [0, 1], "c": "1"},
+        {**base, "c": 1.5},
+        {**base, "family": "powprod", "k": 2.5},
+        {**base, "family": "powprod", "k": True},
+        {**base, "family": "powprod", "k": 0},
+        "edge",
+    )
+    gpath = tmp_path / "g.json"
+    for entry in bad_entries:
+        gpath.write_text(json.dumps({"nodes": 2, "budgets": ["1", "1"], "functions": [entry]}))
+        code, out, err = run(capsys, "ccg", "--game", str(gpath))
+        assert code == 1 and out == "", entry
+        assert err.startswith("error: ") and "Traceback" not in err, entry
