@@ -409,7 +409,7 @@ class _Checker:
         self.budgets = [self._to_int(b) for b in game.budgets]
 
         # Per edge: the power of X_u*X_v in the reward (None for min), and the
-        # fractions of c*poly/scale**degree that u and v get before a
+        # coefficients of poly/scale**degree in u's and v's rewards before a
         # proportional split.
         powers: list[Optional[int]] = []
         coefficients: list[tuple[Fraction, Fraction]] = []
@@ -421,8 +421,8 @@ class _Checker:
             if game.splits[ei] == SPLIT_MATTHEW:
                 c_u = f.c * game._fraction_u(ei, ZERO, ZERO)
                 c_v = f.c - c_u
-            elif game.splits[ei] == SPLIT_PROPORTIONAL and self.alloc[u][ei] + self.alloc[v][ei]:
-                sums.append(self.alloc[u][ei] + self.alloc[v][ei])
+            elif game.splits[ei] == SPLIT_PROPORTIONAL and (total := self.alloc[u][ei] + self.alloc[v][ei]):
+                sums.append(total)
             coefficients.append((c_u, c_v))
         degrees = [1 if power is None else 2 * power for power in powers]
         self.reward_unit = (

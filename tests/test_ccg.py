@@ -417,9 +417,9 @@ def test_checker_deltas_match_full_recomputation():
 
 
 def mixed_game(mode=ATMOST):
-    """One edge of each split, a min edge, an edge with both powprod
-    exponents, and the proportional edge (3, 4), on which every profile
-    below starts with both contributions at 0."""
+    """Every split, two min edges, powprod edges with k=2 and k=1, and the
+    proportional edge (3, 4), on which every start profile below has both
+    contributions at 0."""
     return ContributionGame(
         graph=Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5))),
         budgets=(F(2), F(3), F(1), F(2), F(3, 2), F(1)),
