@@ -84,6 +84,12 @@ COMMANDS = {
         ["solve", "--method", "greedy"],
         0,
     ),
+    # n=2000: pins the verdict's cross coefficient at scale.
+    "solve-greedy-n2000": (
+        ["random", "--seed", "21", "--n", "2000", "--density", "0.0025", "--alpha", "1/2,1/4"],
+        ["solve", "--method", "greedy"],
+        0,
+    ),
     "solve-srpq-equal": (
         ["random", "--seed", "9", "--n", "10", "--alpha", "1/2"],
         ["solve", "--method", "srpq"],
