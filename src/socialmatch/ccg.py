@@ -29,6 +29,7 @@ from .instance import (
     ObliviousSharing,
     compute_Q,
     normalize_edge,
+    perceive,
 )
 from .matching import Matching, is_stable
 from .oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, enumerate_stable_matchings, max_weight_matching
@@ -122,8 +123,8 @@ class ContributionGame:
                     )
 
     @cached_property
-    def alpha_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.friendship.matrix(self.graph)
+    def alpha_rows(self) -> tuple[dict[int, Fraction], ...]:
+        return self.friendship.rows(self.graph)
 
     @property
     def local_friendship(self) -> bool:
@@ -229,16 +230,7 @@ def node_rewards(game: ContributionGame, profile: StrategyProfile) -> tuple[Frac
 
 
 def perceived_utilities(game: ContributionGame, profile: StrategyProfile) -> tuple[Fraction, ...]:
-    rewards = node_rewards(game, profile)
-    out = []
-    for v in range(game.graph.n):
-        row = game.alpha_matrix[v]
-        total = rewards[v]
-        for u in range(game.graph.n):
-            if u != v and rewards[u] != 0:
-                total += row[u] * rewards[u]
-        out.append(total)
-    return tuple(out)
+    return perceive(game.alpha_rows, node_rewards(game, profile))
 
 
 def total_reward(game: ContributionGame, profile: StrategyProfile) -> Fraction:
@@ -382,7 +374,7 @@ class _Checker:
     whole check: ``scale`` to the largest degree of a reward polynomial,
     times the lcm of the denominators of each ``c`` and of ``c`` times each
     matthew fraction, times the lcm of the nonzero current sums ``X_u + X_v``
-    of proportional edges.  The friendship table is scaled to integers by the
+    of proportional edges.  The friendship rows are scaled to integers by the
     lcm of the alpha denominators, ``alpha_unit``, so utilities are integer
     multiples of ``1/unit``, ``unit = reward_unit * alpha_unit``.  A
     proportional edge's new shares ``X_u/(X_u + X_v)`` are not reduced: its
@@ -432,7 +424,10 @@ class _Checker:
         )
         self.alpha_unit, alpha = rescale(game.friendship.alpha)
         self.alpha1 = alpha[0] if alpha else 0
-        self.alpha = [[a.numerator * (self.alpha_unit // a.denominator) for a in row] for row in game.alpha_matrix]
+        self.alpha = [[0] * game.graph.n for _ in range(game.graph.n)]
+        for ints, row in zip(self.alpha, game.alpha_rows):
+            for x, a in row.items():
+                ints[x] = a.numerator * (self.alpha_unit // a.denominator)
         self.unit = self.reward_unit * self.alpha_unit
 
         # Per edge: (power, integer coefficient of u, of v, proportional?).

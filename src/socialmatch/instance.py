@@ -2,10 +2,10 @@
 
 A :class:`GameInstance` bundles the graph topology, per-edge rewards, the
 reward-sharing rule, and the friendship vector, together with derived
-quantities (shares, the share-ratio parameter R and the stake-ratio
-parameter Q); hop distances belong to the :class:`Graph`.  All arithmetic is exact rational arithmetic: stability is
-defined by strict inequalities, and floating point would make blocking-pair
-verdicts nondeterministic.
+quantities (shares, sparse friendship rows, the share-ratio parameter R and
+the stake-ratio parameter Q).  All arithmetic is exact rational arithmetic:
+stability is defined by strict inequalities, and floating point would make
+blocking-pair verdicts nondeterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .rationals import rat, rat_str
 
@@ -88,17 +88,12 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_index
 
-    @cached_property
-    def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
-        """Hop distances of every node pair, built on first use; see ``build_distances``."""
-        return build_distances(self)
-
 
 def build_distances(graph: Graph) -> tuple[tuple[Optional[int], ...], ...]:
     """All-pairs unweighted shortest hop distances (BFS from each node).
 
-    Disconnected pairs get ``None``.  Distances depend only on the graph,
-    never on any matching.
+    Disconnected pairs get ``None``.  The library weighs friendship only
+    through ``FriendshipVector.rows``; this is the tests' dense reference.
     """
     out = []
     for src in range(graph.n):
@@ -142,9 +137,24 @@ class FriendshipVector:
             return ZERO
         return self.alpha[d - 1]
 
-    def matrix(self, graph: Graph) -> tuple[tuple[Fraction, ...], ...]:
-        """The coefficient of every node pair of the graph, by hop distance."""
-        return tuple(tuple(self.at(d) for d in row) for row in graph.distances)
+    def rows(self, graph: Graph) -> tuple[dict[int, Fraction], ...]:
+        """Per node, a sparse {node: coefficient} row of its nonzero coefficients, by BFS."""
+        out = []
+        for src in range(graph.n):
+            row: dict[int, Fraction] = {}
+            frontier = [src]
+            for a in self.alpha:
+                if not a:
+                    break  # alpha is nonincreasing, so no later entry is nonzero
+                reached = []
+                for x in frontier:
+                    for y in graph.adjacency[x]:
+                        if y != src and y not in row:
+                            row[y] = a
+                            reached.append(y)
+                frontier = reached
+            out.append(row)
+        return tuple(out)
 
     @property
     def alpha1(self) -> Fraction:
@@ -260,9 +270,9 @@ class GameInstance:
     # -- derived structure ------------------------------------------------
 
     @cached_property
-    def alpha_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """alpha applied to the hop distance of every node pair (0 if disconnected)."""
-        return self.friendship.matrix(self.graph)
+    def alpha_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """Per node, the nonzero friendship coefficients; see ``FriendshipVector.rows``."""
+        return self.friendship.rows(self.graph)
 
     @cached_property
     def shares(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -345,11 +355,17 @@ class GameInstance:
     def edge_reward(self, u: int, v: int) -> Fraction:
         return self.rewards[self.edge_id(u, v)]
 
-    def alpha_between(self, u: int, v: int) -> Fraction:
-        return self.alpha_matrix[u][v]
-
 
 # -- the public operation surface ------------------------------------------
+
+
+def perceive(rows: Sequence[dict[int, Fraction]], rewards: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Perceived utilities: each node's reward plus its row's coefficients
+    times the other nodes' rewards."""
+    out = []
+    for v, row in enumerate(rows):
+        out.append(rewards[v] + sum((a * rewards[u] for u, a in row.items()), ZERO))
+    return tuple(out)
 
 
 def reward_share(instance: GameInstance, node: int, edge: Edge) -> Fraction:

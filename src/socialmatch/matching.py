@@ -3,9 +3,9 @@
 The improving-deviation conditions are evaluated as exact strict
 inequalities in the endpoint-reward convention of the instance (both
 endpoints enjoy the full edge reward under equal sharing, shares
-otherwise).  Ties are never improving.  Hop distances, and hence the
-friendship coefficients between specific nodes, are graph-structural and
-do not depend on the matching.
+otherwise).  Ties are never improving.  A verdict needs no hop
+distance: the only friendship term beyond alpha1 is between an endpoint
+and its partner's old partner, which are one or two hops apart.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .instance import ZERO, Edge, GameInstance, InstanceError, normalize_edge
+from .instance import ZERO, Edge, GameInstance, InstanceError, normalize_edge, perceive
 from .rationals import rat_str
 
 SWIVEL = "swivel"
@@ -155,27 +155,12 @@ def node_reward(instance: GameInstance, matching: Matching, v: int) -> Fraction:
 
 def perceived_utility(instance: GameInstance, matching: Matching, v: int) -> Fraction:
     """Own reward plus alpha-weighted rewards of every other node by hop distance."""
-    alpha_row = instance.alpha_matrix[v]
-    total = node_reward(instance, matching, v)
-    for a, b in matching.pairs:
-        i = instance.graph.edge_index[(a, b)]
-        ea, eb = instance.endpoint_rewards[i]
-        if a != v:
-            total += alpha_row[a] * ea
-        if b != v:
-            total += alpha_row[b] * eb
-    return total
+    return utility_profile(instance, matching).perceived[v]
 
 
 def utility_profile(instance: GameInstance, matching: Matching) -> UtilityProfile:
     rewards = tuple(node_reward(instance, matching, v) for v in range(instance.graph.n))
-    perceived = []
-    for v in range(instance.graph.n):
-        alpha_row = instance.alpha_matrix[v]
-        perceived.append(
-            rewards[v] + sum((alpha_row[u] * rewards[u] for u in range(instance.graph.n) if u != v), ZERO)
-        )
-    return UtilityProfile(reward=rewards, perceived=tuple(perceived))
+    return UtilityProfile(reward=rewards, perceived=perceive(instance.alpha_rows, rewards))
 
 
 def matching_value(instance: GameInstance, matching: Matching) -> Fraction:
@@ -206,11 +191,12 @@ def _pair_check(
         stake_x(xy) > stake_x(x p_x) + alpha1 * r_y(y p_y) + c * r_{p_y}(y p_y)
 
     where p_x, p_y are the current partners, a term is dropped when its
-    partner is None, and c is the hop-distance coefficient between x and
-    p_y (alpha2 for a relaxed both-matched pair).  The verdict reads only
-    the partners of u and v.  Scans stop at the first side that fails;
-    when ``witness`` is a list, both sides are evaluated and appended to
-    it as Conditions.  Never call this on a pair matched to each other.
+    partner is None, and c is alpha1 if p_y is adjacent to x, else alpha2
+    (x-y-p_y is a path; alpha2 for a relaxed both-matched pair).  The
+    verdict reads only the partners of u and v.  Scans stop at the first
+    side that fails; when ``witness`` is a list, both sides are evaluated
+    and appended to it as Conditions.  Never call this on a pair matched
+    to each other.
     """
     table = instance.oriented_edges
     a1 = instance.friendship.alpha1
@@ -222,7 +208,7 @@ def _pair_check(
         rhs = ZERO if px is None else table[x][px][0]
         if py is not None:
             _, own, other = table[y][py]
-            cross = instance.friendship.alpha2 if relaxed and px is not None else instance.alpha_matrix[x][py]
+            cross = instance.friendship.alpha2 if (relaxed and px is not None) or py not in table[x] else a1
             # A zero coefficient adds nothing; skipping it saves Fraction work.
             if a1:
                 rhs = rhs + a1 * own

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from fractions import Fraction as F
 from typing import Optional
 
@@ -12,6 +13,7 @@ from socialmatch.instance import (
     GameInstance,
     Graph,
     ObliviousSharing,
+    build_distances,
 )
 from socialmatch.matching import (
     BISWIVEL,
@@ -19,7 +21,7 @@ from socialmatch.matching import (
     Matching,
     apply_deviation,
     deviation_for,
-    perceived_utility,
+    node_reward,
 )
 from socialmatch.roommates import preference_key
 
@@ -49,6 +51,23 @@ def oblivious_instance(graph: Graph, shares, alpha=()) -> GameInstance:
     )
 
 
+@lru_cache(maxsize=64)
+def distances(graph: Graph) -> tuple[tuple[Optional[int], ...], ...]:
+    """``build_distances`` once per graph: the dense reference table."""
+    return build_distances(graph)
+
+
+def dense_perceived(instance: GameInstance, matching: Matching, v: int) -> F:
+    """v's perceived utility from the definition: its reward plus every other
+    node's reward weighted by alpha at their hop distance."""
+    total = node_reward(instance, matching, v)
+    for u, d in enumerate(distances(instance.graph)[v]):
+        a = instance.friendship.at(d)
+        if u != v and a:
+            total += a * node_reward(instance, matching, u)
+    return total
+
+
 def brute_improving(instance: GameInstance, matching: Matching, u: int, v: int) -> bool:
     """Independent oracle: apply the deviation and compare perceived
     utilities computed straight from the definition."""
@@ -56,9 +75,9 @@ def brute_improving(instance: GameInstance, matching: Matching, u: int, v: int) 
         return False
     kind = BISWIVEL if matching.partner(u) is not None and matching.partner(v) is not None else SWIVEL
     after = apply_deviation(matching, deviation_for(matching, u, v, kind))
-    return perceived_utility(instance, after, u) > perceived_utility(
+    return dense_perceived(instance, after, u) > dense_perceived(
         instance, matching, u
-    ) and perceived_utility(instance, after, v) > perceived_utility(instance, matching, v)
+    ) and dense_perceived(instance, after, v) > dense_perceived(instance, matching, v)
 
 
 def bfs_preference_cycle(instance: GameInstance, mode: str) -> Optional[tuple[int, ...]]:

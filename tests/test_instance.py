@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,8 +22,10 @@ from socialmatch.instance import (
     q_value,
     reward_share,
 )
-from helpers import ALPHA_SAMPLES, PATH3, oblivious_instance, path3_equal
+from helpers import ALPHA_SAMPLES, PATH3, dense_perceived, oblivious_instance, path3_equal
+from socialmatch.ccg import ContributionGame, RewardFunction, StrategyProfile, node_rewards, perceived_utilities
 from socialmatch.generators import gen_matthew_poa_tight, gen_random
+from socialmatch.matching import Matching, perceived_utility, utility_profile
 
 
 def test_distances_single_edge():
@@ -41,7 +44,85 @@ def test_distances_disconnected():
     d = build_distances(Graph(2, ()))
     assert d[0][1] is None
     inst = GameInstance(Graph(2, ()), (), EqualSharing(), FriendshipVector((F(1, 2),)))
-    assert inst.alpha_between(0, 1) == 0
+    assert inst.friendship.at(build_distances(inst.graph)[0][1]) == 0
+
+
+def _random_matching(rng: random.Random, graph: Graph) -> Matching:
+    edges = list(graph.edges)
+    rng.shuffle(edges)
+    used: set[int] = set()
+    pairs = []
+    for u, v in edges:
+        if u not in used and v not in used and rng.random() < 0.7:
+            used.update((u, v))
+            pairs.append((u, v))
+    return Matching.of(graph.n, pairs)
+
+
+def _random_contribution_game(rng: random.Random, inst: GameInstance) -> tuple[ContributionGame, StrategyProfile]:
+    graph = inst.graph
+    game = ContributionGame(
+        graph=graph,
+        budgets=tuple(F(rng.randint(0, 3)) for _ in range(graph.n)),
+        functions=tuple(RewardFunction("product", F(rng.randint(1, 4), rng.choice((1, 2)))) for _ in graph.edges),
+        splits=tuple(rng.choice(("equal", "proportional")) for _ in graph.edges),
+        friendship=inst.friendship,
+    )
+    rows = [[F(0)] * len(graph.edges) for _ in range(graph.n)]
+    for v, incident in enumerate(graph.incident_edges):
+        for ei in incident:
+            rows[v][ei] = game.budgets[v] * rng.randint(0, 2) / (2 * len(incident))
+    return game, StrategyProfile.build(game, rows)
+
+
+@pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
+@pytest.mark.parametrize("alpha", ALPHA_SAMPLES + ((F(1, 2), F(0)),))
+def test_alpha_rows_and_perceived_utilities_match_dense_reference(rule, alpha):
+    # The sparse rows must hold exactly the nonzero coefficients of the dense
+    # distance table, and every perceived-utility function must equal the
+    # definition evaluated on that table.
+    rng = random.Random(f"{rule}-{alpha}")
+    disconnected = 0
+    for n in range(2, 13):
+        for density in (0.15, 0.5):
+            inst = gen_random(seed=rng.randrange(10**6), n=n, density=density, rule=rule, alpha=alpha)
+            dist = build_distances(inst.graph)
+            disconnected += any(d is None for row in dist for d in row)
+            at = inst.friendship.at
+            for v in range(n):
+                dense = {u: at(d) for u, d in enumerate(dist[v]) if u != v and at(d)}
+                assert inst.alpha_rows[v] == dense, (n, v)
+
+            for m in (Matching.empty(n), _random_matching(rng, inst.graph), _random_matching(rng, inst.graph)):
+                want = tuple(dense_perceived(inst, m, v) for v in range(n))
+                assert utility_profile(inst, m).perceived == want
+                assert tuple(perceived_utility(inst, m, v) for v in range(n)) == want
+
+            game, profile = _random_contribution_game(rng, inst)
+            assert game.alpha_rows == inst.alpha_rows
+            rewards = node_rewards(game, profile)
+            want = tuple(
+                rewards[v] + sum((at(dist[v][u]) * rewards[u] for u in range(n) if u != v), F(0))
+                for v in range(n)
+            )
+            assert perceived_utilities(game, profile) == want
+    assert disconnected > 0
+
+
+@pytest.mark.parametrize(
+    "alpha", [(F(1, 2),), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2), F(1, 4)), (F(1, 2), F(0), F(0))]
+)
+def test_alpha_rows_on_a_long_path_stay_within_reach(alpha):
+    # A row holds the nodes within L hops, L the number of nonzero entries of
+    # alpha: at most 2L on a path, however long the path is.
+    n = 20000
+    friendship = FriendshipVector(alpha)
+    reach = sum(1 for a in friendship.alpha if a)
+    rows = friendship.rows(Graph(n, tuple((v, v + 1) for v in range(n - 1))))
+    assert max(len(row) for row in rows) == 2 * reach
+    mid = n // 2
+    assert rows[mid] == {mid + s * d: friendship.at(d) for d in range(1, reach + 1) for s in (-1, 1)}
+    assert rows[0] == {d: friendship.at(d) for d in range(1, reach + 1)}
 
 
 def test_graph_rejects_self_loop_and_parallel():

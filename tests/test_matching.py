@@ -8,6 +8,7 @@ from socialmatch.instance import (
     Graph,
     InstanceError,
     MatthewSharing,
+    build_distances,
 )
 from socialmatch.matching import (
     BISWIVEL,
@@ -175,7 +176,7 @@ def test_relaxed_verdicts_match_literal_inequalities_equal_sharing():
             return True  # rewards are positive, so both gain
         matched, free, p = (u, v, w) if w is not None else (v, u, z)
         return (1 + a1) * r(u, v) > (1 + a1) * r(matched, p) and (1 + a1) * r(u, v) > (
-            a1 + inst.alpha_between(free, p)
+            a1 + inst.friendship.at(build_distances(inst.graph)[free][p])
         ) * r(matched, p)
 
     for seed in range(10):
