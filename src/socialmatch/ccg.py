@@ -28,6 +28,7 @@ from .instance import (
     MatthewSharing,
     ObliviousSharing,
     compute_Q,
+    node_id,
     normalize_edge,
     perceive,
 )
@@ -210,10 +211,15 @@ class StrategyProfile:
     @staticmethod
     def from_dict(doc: dict, game: ContributionGame) -> "StrategyProfile":
         rows = [[ZERO] * len(game.graph.edges) for _ in range(game.graph.n)]
-        for entry in doc["alloc"]:
-            v = int(entry["node"])
-            e = normalize_edge(int(entry["edge"][0]), int(entry["edge"][1]))
-            rows[v][game.graph.edge_index[e]] = rat(entry["amount"])
+        try:
+            for entry in doc["alloc"]:
+                v = node_id(entry["node"])
+                e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))
+                if not 0 <= v < game.graph.n or e not in game.graph.edge_index:
+                    raise InstanceError(f"node {v} on edge {e} is not in the game")
+                rows[v][game.graph.edge_index[e]] = rat(entry["amount"])
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise InstanceError(f"malformed profile document: {exc}") from exc
         return StrategyProfile.build(game, rows)
 
 
@@ -866,14 +872,14 @@ def ccg_to_dict(game: ContributionGame) -> dict:
 
 def ccg_from_dict(doc: dict) -> ContributionGame:
     try:
-        n = int(doc["nodes"])
+        n = node_id(doc["nodes"])
         budgets = tuple(rat(b) for b in doc["budgets"])
         mode = doc.get("mode", ATMOST)
         alpha = tuple(rat(a) for a in doc.get("alpha", []))
         lam = tuple(rat(x) for x in doc["lambda"]) if "lambda" in doc else None
         entries = []
         for entry in doc["functions"]:
-            e = normalize_edge(int(entry["edge"][0]), int(entry["edge"][1]))
+            e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))
             f = RewardFunction(family=entry["family"], c=rat(entry["c"]), k=entry.get("k", 1))
             entries.append((e, f, entry.get("split", {"kind": SPLIT_EQUAL})["kind"]))
     except (KeyError, IndexError, TypeError, AttributeError) as exc:

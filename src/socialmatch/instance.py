@@ -37,6 +37,14 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def node_id(value: object) -> int:
+    """A node id or node count read from a JSON document, which must be an
+    ``int``: a float, a string or a bool is rejected, never truncated."""
+    if type(value) is not int:
+        raise InstanceError(f"node ids and counts must be integers, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on dense integer node ids 0..n-1."""
@@ -449,62 +457,62 @@ def instance_to_dict(instance: GameInstance) -> dict:
 
 def instance_from_dict(doc: dict) -> GameInstance:
     try:
-        n = int(doc["nodes"])
+        n = node_id(doc["nodes"])
         raw_edges = doc["edges"]
         sharing_doc = doc.get("sharing", {"rule": "equal"})
         alpha = tuple(rat(a) for a in doc.get("alpha", []))
-    except (KeyError, TypeError) as exc:
-        raise InstanceError(f"malformed instance document: {exc}") from exc
 
-    pairs = []
-    flipped = []
-    for e in raw_edges:
-        u, v = int(e["u"]), int(e["v"])
-        pairs.append(normalize_edge(u, v))
-        flipped.append(u > v)
-    graph = Graph(n, tuple(pairs))
-    # Re-align per-edge data with the graph's canonical (sorted) edge order.
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
+        pairs = []
+        flipped = []
+        for e in raw_edges:
+            u, v = node_id(e["u"]), node_id(e["v"])
+            pairs.append(normalize_edge(u, v))
+            flipped.append(u > v)
+        graph = Graph(n, tuple(pairs))
+        # Re-align per-edge data with the graph's canonical (sorted) edge order.
+        order = sorted(range(len(pairs)), key=lambda i: pairs[i])
 
-    rule = sharing_doc.get("rule", "equal")
-    sharing: SharingRule
-    if rule == "trust":
-        beta = tuple(rat(x) for x in sharing_doc["beta"])
-        h_in = [rat(x) for x in sharing_doc["h"]]
-        h = tuple(h_in[i] for i in order)
-        sharing = TrustSharing(beta=beta, h=h)
-        rewards = []
-        for i, (u, v) in enumerate(graph.edges):
-            derived = 2 * h[i] + beta[u] + beta[v]
-            stated = raw_edges[order[i]].get("r")
-            if stated is not None and rat(stated) != derived:
-                raise InstanceError(
-                    f"trust edge {(u, v)}: stated reward {stated} != 2h+beta_u+beta_v={derived}"
-                )
-            rewards.append(derived)
-    else:
-        rewards = []
-        for i in order:
-            if "r" not in raw_edges[i]:
-                raise InstanceError(f"edge {pairs[i]} is missing its reward")
-            rewards.append(rat(raw_edges[i]["r"]))
-        if rule == "equal":
-            sharing = EqualSharing()
-        elif rule == "oblivious":
-            share_docs = sharing_doc["shares"]
-            if len(share_docs) != len(pairs):
-                raise InstanceError("oblivious sharing needs one share pair per edge")
-            aligned = []
-            for i in order:
-                a, b = rat(share_docs[i]["u"]), rat(share_docs[i]["v"])
-                aligned.append((b, a) if flipped[i] else (a, b))
-            sharing = ObliviousSharing(shares=tuple(aligned))
-        elif rule == "matthew":
-            sharing = MatthewSharing(lam=tuple(rat(x) for x in sharing_doc["lambda"]))
-        elif rule == "parasite":
-            sharing = ParasiteSharing(lam=tuple(rat(x) for x in sharing_doc["lambda"]))
+        rule = sharing_doc.get("rule", "equal")
+        sharing: SharingRule
+        if rule == "trust":
+            beta = tuple(rat(x) for x in sharing_doc["beta"])
+            h_in = [rat(x) for x in sharing_doc["h"]]
+            h = tuple(h_in[i] for i in order)
+            sharing = TrustSharing(beta=beta, h=h)
+            rewards = []
+            for i, (u, v) in enumerate(graph.edges):
+                derived = 2 * h[i] + beta[u] + beta[v]
+                stated = raw_edges[order[i]].get("r")
+                if stated is not None and rat(stated) != derived:
+                    raise InstanceError(
+                        f"trust edge {(u, v)}: stated reward {stated} != 2h+beta_u+beta_v={derived}"
+                    )
+                rewards.append(derived)
         else:
-            raise InstanceError(f"unknown sharing rule {rule!r}")
+            rewards = []
+            for i in order:
+                if "r" not in raw_edges[i]:
+                    raise InstanceError(f"edge {pairs[i]} is missing its reward")
+                rewards.append(rat(raw_edges[i]["r"]))
+            if rule == "equal":
+                sharing = EqualSharing()
+            elif rule == "oblivious":
+                share_docs = sharing_doc["shares"]
+                if len(share_docs) != len(pairs):
+                    raise InstanceError("oblivious sharing needs one share pair per edge")
+                aligned = []
+                for i in order:
+                    a, b = rat(share_docs[i]["u"]), rat(share_docs[i]["v"])
+                    aligned.append((b, a) if flipped[i] else (a, b))
+                sharing = ObliviousSharing(shares=tuple(aligned))
+            elif rule == "matthew":
+                sharing = MatthewSharing(lam=tuple(rat(x) for x in sharing_doc["lambda"]))
+            elif rule == "parasite":
+                sharing = ParasiteSharing(lam=tuple(rat(x) for x in sharing_doc["lambda"]))
+            else:
+                raise InstanceError(f"unknown sharing rule {rule!r}")
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise InstanceError(f"malformed instance document: {exc}") from exc
 
     return GameInstance(
         graph=graph,

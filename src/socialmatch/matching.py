@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .instance import ZERO, Edge, GameInstance, InstanceError, normalize_edge, perceive
+from .instance import ZERO, Edge, GameInstance, InstanceError, node_id, normalize_edge, perceive
 from .rationals import rat_str
 
 SWIVEL = "swivel"
@@ -75,7 +75,11 @@ class Matching:
 
     @staticmethod
     def from_dict(doc: dict, n: int) -> "Matching":
-        return Matching.of(n, [(int(u), int(v)) for u, v in doc["pairs"]])
+        try:
+            pairs = [(node_id(u), node_id(v)) for u, v in doc["pairs"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceError(f"malformed matching document: {exc}") from exc
+        return Matching.of(n, pairs)
 
 
 @dataclass(frozen=True)

@@ -367,3 +367,78 @@ def test_ccg_malformed_function_entries_exit_1(tmp_path, capsys):
         code, out, err = run(capsys, "ccg", "--game", str(gpath))
         assert code == 1 and out == "", entry
         assert err.startswith("error: ") and "Traceback" not in err, entry
+
+
+def _assert_exit_1(code, out, err, case):
+    assert code == 1 and out == "", case
+    assert err.startswith("error: ") and "Traceback" not in err, case
+
+
+def test_non_integer_node_ids_exit_1(tmp_path, capsys):
+    # Node ids and counts were truncated with int(): this instance and
+    # matching ran as n=3 with edge and pair (0, 1), and check exited 0.
+    ipath, mpath = tmp_path / "inst.json", tmp_path / "m.json"
+    ipath.write_text(json.dumps({"nodes": 3.7, "edges": [{"u": 0.2, "v": 1.9, "r": "1"}]}))
+    mpath.write_text(json.dumps({"pairs": [[0.4, 1.6]]}))
+    _assert_exit_1(*run(capsys, "check", "--instance", str(ipath), "--matching", str(mpath)), "float ids")
+
+    for doc in (
+        {"nodes": True, "edges": []},
+        {"nodes": "3", "edges": []},
+        {"nodes": 3, "edges": [{"u": 0, "v": 1.0, "r": "1"}]},
+        {"nodes": 3, "edges": [{"u": False, "v": 1, "r": "1"}]},
+    ):
+        ipath.write_text(json.dumps(doc))
+        _assert_exit_1(*run(capsys, "solve", "--instance", str(ipath)), doc)
+
+    ipath.write_text(json.dumps({"nodes": 3, "edges": [{"u": 0, "v": 1, "r": "1"}]}))
+    for pairs in ([[0.0, 1]], [[0, True]], [["0", "1"]], [5], 7):
+        mpath.write_text(json.dumps({"pairs": pairs}))
+        _assert_exit_1(*run(capsys, "check", "--instance", str(ipath), "--matching", str(mpath)), pairs)
+
+
+def test_non_integer_node_ids_in_games_and_profiles_exit_1(tmp_path, capsys):
+    gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
+    entry = {"edge": [0, 1], "family": "product", "c": "1"}
+    for doc in (
+        {"nodes": 2.9, "budgets": ["1", "1"], "functions": [{**entry, "edge": [0.7, 1.2]}]},
+        {"nodes": 2, "budgets": ["1", "1"], "functions": [{**entry, "edge": [0, 1.0]}]},
+    ):
+        gpath.write_text(json.dumps(doc))
+        _assert_exit_1(*run(capsys, "ccg", "--game", str(gpath)), doc)
+
+    gpath.write_text(json.dumps({"nodes": 3, "budgets": ["1", "1", "1"], "functions": [entry, {**entry, "edge": [1, 2]}]}))
+    for alloc in (
+        [{"node": 0.0, "edge": [0, 1], "amount": "1"}],
+        [{"node": 0, "edge": [0, 1.5], "amount": "1"}],
+        [{"node": -1, "edge": [1, 2], "amount": "1"}],  # used to be read as node 2
+        [{"node": 3, "edge": [1, 2], "amount": "1"}],
+        [{"node": 0, "edge": [0, 2], "amount": "1"}],
+        [{"node": 0, "edge": [0, 1], "amount": 0.5}],
+        [7],
+    ):
+        ppath.write_text(json.dumps({"alloc": alloc}))
+        _assert_exit_1(*run(capsys, "check", "--game", str(gpath), "--profile", str(ppath)), alloc)
+
+
+def test_malformed_rewards_and_sharing_exit_1(tmp_path, capsys):
+    # A float reward, lambda, share or trust value used to escape as a
+    # TypeError traceback from solve, audit and dynamics.
+    edges = [{"u": 0, "v": 1, "r": "2"}, {"u": 1, "v": 2, "r": "1"}]
+    docs = (
+        {"nodes": 3, "edges": [{"u": 0, "v": 1, "r": 0.5}]},
+        {"nodes": 3, "edges": edges, "sharing": {"rule": "matthew", "lambda": [0.5, "1", "1"]}},
+        {"nodes": 3, "edges": edges, "sharing": {"rule": "parasite", "lambda": ["1", "1"]}},
+        {"nodes": 3, "edges": edges, "sharing": {"rule": "oblivious", "shares": [{"u": 1.5, "v": "1/2"}, {"u": "1", "v": "0"}]}},
+        {"nodes": 3, "edges": edges, "sharing": {"rule": "oblivious", "shares": [{"u": "1"}, {"u": "1", "v": "0"}]}},
+        {"nodes": 3, "edges": edges, "sharing": {"rule": "trust", "beta": ["0", "0", "0"], "h": [1.0, "1/2"]}},
+        {"nodes": 3, "edges": edges, "sharing": {"rule": "trust", "beta": ["0"], "h": ["1", "1/2"]}},
+        {"nodes": 3, "edges": edges, "sharing": "equal"},
+        {"nodes": 3, "edges": [[0, 1, "1"]]},
+        [],
+    )
+    path = tmp_path / "inst.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "audit", "dynamics"):
+            _assert_exit_1(*run(capsys, command, "--instance", str(path)), (command, doc))
