@@ -812,16 +812,17 @@ def ccg_audit(
     elif game.all_equal_split and game.local_friendship:
         found.append(("tight-budget", tight_budget_equilibrium(game, exact_max_n=exact_max_n)))
 
-    searched = _local_search(game, tight_social_optimum(game, exact_max_n=exact_max_n), grid_k)
-    if searched is not None:
-        found.append(("local-search-optimum", searched))
-
     values: list[Fraction] = []
     sources: list[str] = []
     for source, profile in found:
         if is_pairwise_equilibrium(game, profile, grid_k=grid_k).is_equilibrium:
             values.append(total_reward(game, profile))
             sources.append(source)
+    # _local_search returns only a profile it has just certified.
+    searched = _local_search(game, tight_social_optimum(game, exact_max_n=exact_max_n), grid_k)
+    if searched is not None:
+        values.append(total_reward(game, searched))
+        sources.append("local-search-optimum")
 
     worst: Optional[Fraction] = None
     checked = bool(values)

@@ -185,19 +185,18 @@ def greedy_mutual_best(
     instance: GameInstance,
     mode: str = MODE_RAW,
     *,
-    check_cycles: bool = True,
     return_stats: bool = False,
 ):
     """Repeatedly match a mutually most-preferred adjacent pair and remove it.
 
-    Requires cycle-free preferences (checked unless disabled); the output
-    is stable in the key's preference semantics.  Each extraction scans
-    the remaining edges once, so total work is O(|V| |E|).
+    Requires cycle-free preferences, and raises ``PreferenceCycleError``
+    otherwise; the output is stable in the key's preference semantics.
+    Each extraction scans the remaining edges once, so total work is
+    O(|V| |E|).
     """
-    if check_cycles:
-        cycle = detect_preference_cycle(instance, mode)
-        if cycle is not None:
-            raise PreferenceCycleError(cycle)
+    cycle = detect_preference_cycle(instance, mode)
+    if cycle is not None:
+        raise PreferenceCycleError(cycle)
     graph = instance.graph
     keys = _key_table(instance, mode)
     alive = [True] * graph.n
@@ -277,10 +276,9 @@ def solve_srp_q(
     matching is verified stable in the friendship game before returning;
     None means the reduction has no stable matching.
     """
-    cycle = detect_preference_cycle(instance, MODE_Q)
-    if cycle is None:
-        result = greedy_mutual_best(instance, MODE_Q, check_cycles=False)
-    else:
+    try:
+        result = greedy_mutual_best(instance, MODE_Q)
+    except PreferenceCycleError:
         result = None
         keys = _key_table(instance, MODE_Q)
         for m in sorted(

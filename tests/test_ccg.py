@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from socialmatch import ccg
 from socialmatch.ccg import (
     ATMOST,
+    DEFAULT_GRID_K,
     EXACT,
     ContributionGame,
     NotStableError,
@@ -486,6 +488,27 @@ def test_ccg_audit_without_equilibria_is_unchecked():
     assert not report.passed
     doc = report.to_dict()
     assert doc["checked"] is False and doc["passed"] is False
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ccg_audit_certifies_the_local_search_profile_once(monkeypatch, seed):
+    # _local_search returns only a profile it has just certified, so the
+    # audit takes it without a second check.
+    game = gen_random_ccg(seed=seed, n=6, density=0.6, split="equal", alpha=(F(1, 2), F(1, 4)))
+    searched = ccg._local_search(game, tight_social_optimum(game), DEFAULT_GRID_K)
+    assert searched is not None
+    instance = corresponding_matching_game(game)
+    stable = [saturated_profile(game, m) for m in enumerate_stable_matchings(instance)]
+    checked = []
+
+    def certify(g, profile, **kwargs):
+        checked.append(profile)
+        return is_pairwise_equilibrium(g, profile, **kwargs)
+
+    monkeypatch.setattr(ccg, "is_pairwise_equilibrium", certify)
+    report = ccg_audit(game)
+    assert report.equilibrium_sources[-1] == "local-search-optimum"
+    assert checked.count(searched) == 1 + stable.count(searched)
 
 
 @pytest.mark.parametrize("split,families", [("equal", ("product", "powprod")), ("matthew", ("product",))])
