@@ -10,11 +10,12 @@ from typing import Iterable
 def rat(value: int | str | Fraction) -> Fraction:
     """Parse a rational from an int, a Fraction, or a string.
 
-    Strings may be "p/q" or decimal ("0.25"); both parse exactly.
+    Strings may be "p/q" or decimal ("0.25"); both parse exactly.  A bool
+    is not a rational: JSON ``true`` must not read as 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

@@ -423,10 +423,13 @@ def test_non_integer_node_ids_in_games_and_profiles_exit_1(tmp_path, capsys):
 
 def test_malformed_rewards_and_sharing_exit_1(tmp_path, capsys):
     # A float reward, lambda, share or trust value used to escape as a
-    # TypeError traceback from solve, audit and dynamics.
+    # TypeError traceback from solve, audit and dynamics, and a bool reward
+    # or alpha entry was read as 1 or 0.
     edges = [{"u": 0, "v": 1, "r": "2"}, {"u": 1, "v": 2, "r": "1"}]
     docs = (
         {"nodes": 3, "edges": [{"u": 0, "v": 1, "r": 0.5}]},
+        {"nodes": 3, "edges": [{"u": 0, "v": 1, "r": True}]},
+        {"nodes": 3, "edges": edges, "alpha": [False]},
         {"nodes": 3, "edges": edges, "sharing": {"rule": "matthew", "lambda": [0.5, "1", "1"]}},
         {"nodes": 3, "edges": edges, "sharing": {"rule": "parasite", "lambda": ["1", "1"]}},
         {"nodes": 3, "edges": edges, "sharing": {"rule": "oblivious", "shares": [{"u": 1.5, "v": "1/2"}, {"u": "1", "v": "0"}]}},
