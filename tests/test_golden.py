@@ -121,6 +121,23 @@ COMMANDS = {
         ["dynamics", "--method", "arbitrary", "--start", "empty", "--seed", "13"],
         0,
     ),
+    # m = 608 edges: long runs from empty pin the pick order across many steps.
+    "dynamics-arbitrary-m600": (
+        ["random", "--seed", "31", "--n", "200", "--density", "0.03", "--alpha", "1/2,1/4"],
+        ["dynamics", "--method", "arbitrary", "--start", "empty", "--seed", "5"],
+        0,
+    ),
+    "dynamics-bbp-m600": (
+        ["random", "--seed", "31", "--n", "200", "--density", "0.03", "--alpha", "1/2,1/4"],
+        ["dynamics", "--method", "bbp", "--start", "empty"],
+        0,
+    ),
+    # Two reward-19 biswivels in a row pin the tie-break; the cap ends the run.
+    "dynamics-bbp-cap": (
+        ["random", "--seed", "2", "--n", "12", "--rule", "trust"],
+        ["dynamics", "--method", "bbp", "--cap", "3"],
+        2,
+    ),
 }
 
 # name -> (gen_random_ccg arguments, exit code)
