@@ -5,27 +5,34 @@ matching and repeatedly lets the relaxed blocking pair with the largest
 edge reward deviate.  Under equal sharing it terminates within 2m^2
 deviations and its output is stable; for other sharing rules termination
 has no guarantee, so the run caps out and reports that distinctly.
+
+Every run keeps its blocking set across steps.  A verdict reads only the
+partners of the pair's two endpoints, so after one deviation only the
+edges at the at most four nodes whose partner changed get a new verdict:
+one full scan at the start, then O(sum of their degrees) verdicts per
+step, plus an O(log m) search and a shift of the sorted blocking list.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
-from .instance import Edge, EqualSharing, GameInstance
+from .instance import Edge, EqualSharing, GameInstance, InstanceError
 from .matching import (
     BISWIVEL,
     RELAXED_BISWIVEL,
     SWIVEL,
     Deviation,
     Matching,
-    apply_deviation,
+    _deviation,
+    _pair_check,
     blocking_pairs,
-    deviation_for,
     matching_value,
 )
 from .oracle import DEFAULT_EXACT_LIMIT, max_weight_matching
@@ -92,42 +99,56 @@ class DynamicsTrace:
         return "\n".join(lines) + "\n"
 
 
-def _best_pair(
-    instance: GameInstance, matching: Matching, relaxed: bool
-) -> Optional[Edge]:
-    pairs = blocking_pairs(instance, matching, relaxed)
-    if not pairs:
-        return None
-    return min(pairs, key=lambda p: (-instance.edge_reward(*p), p))
-
-
 def best_relaxed_blocking_pair(instance: GameInstance, matching: Matching) -> Optional[Edge]:
     """The relaxed blocking pair with maximum edge reward.
 
     Ties break to the lexicographically smallest pair (min endpoint, then
     max endpoint) so runs are reproducible.
     """
-    return _best_pair(instance, matching, relaxed=True)
+    pairs = blocking_pairs(instance, matching, relaxed=True)
+    if not pairs:
+        return None
+    return min(pairs, key=lambda p: (-instance.edge_reward(*p), p))
 
 
-def best_blocking_pair(instance: GameInstance, matching: Matching) -> Optional[Edge]:
-    return _best_pair(instance, matching, relaxed=False)
+def _require_cap(cap: int) -> None:
+    if cap < 0:
+        raise InstanceError(f"cap must be at least 0, got {cap}")
 
 
 def _run(
     instance: GameInstance,
     start: Matching,
-    pick: Callable[[Matching], Optional[Edge]],
     relaxed: bool,
     policy: str,
     cap: int,
     cap_is_assertion: bool,
+    rng: Optional[random.Random] = None,
 ) -> tuple[Matching, DynamicsTrace]:
-    matching = start
+    """Let one blocking pair deviate at a time until none is left or the cap is hit.
+
+    The blocking edges are kept across steps as a sorted list of positions:
+    the edge index when ``rng`` picks uniformly among them, else the rank
+    under (-r, u, v), so the first one is the best pair.  After a deviation
+    only the edges at the nodes whose partner changed get a new verdict.
+    """
+    graph = instance.graph
+    edges, incident, rewards = graph.edges, graph.incident_edges, instance.rewards
+    if rng is None:
+        order = sorted(range(len(edges)), key=lambda i: (-rewards[i], edges[i]))
+    else:
+        order = list(range(len(edges)))
+    position = [0] * len(edges)
+    for p, i in enumerate(order):
+        position[i] = p
+    partner = list(start.partner_map)
+    blocking = [partner[u] != v and _pair_check(instance, partner, u, v, relaxed) for u, v in edges]
+    queue = [position[i] for i, b in enumerate(blocking) if b]
+    queue.sort()
+    initial_value = value = matching_value(instance, start)
     steps: list[TraceStep] = []
     while True:
-        pair = pick(matching)
-        if pair is None:
+        if not queue:
             termination = "stable"
             break
         if len(steps) >= cap:
@@ -137,31 +158,45 @@ def _run(
                 )
             termination = "cap"
             break
-        u, v = pair
-        if matching.partner(u) is not None and matching.partner(v) is not None:
-            kind = RELAXED_BISWIVEL if relaxed else BISWIVEL
-        else:
-            kind = SWIVEL
-        dev = deviation_for(matching, u, v, kind)
-        matching = apply_deviation(matching, dev)
-        steps.append(
-            TraceStep(
-                index=len(steps),
-                deviation=dev,
-                reward=instance.edge_reward(u, v),
-                value_after=matching_value(instance, matching),
-            )
-        )
+        i = order[queue[0] if rng is None else queue[rng.randrange(len(queue))]]
+        u, v = edges[i]
+        w, z = partner[u], partner[v]
+        kind = (RELAXED_BISWIVEL if relaxed else BISWIVEL) if w is not None and z is not None else SWIVEL
+        dev = _deviation(partner, u, v, kind)
+        for e in dev.removed:
+            value -= rewards[graph.edge_index[e]]
+            a, b = e
+            partner[a] = partner[b] = None
+        value += rewards[i]
+        partner[u], partner[v] = v, u
+        steps.append(TraceStep(index=len(steps), deviation=dev, reward=rewards[i], value_after=value))
+        touched = set(incident[u])
+        for x in (v, w, z):
+            if x is not None:
+                touched.update(incident[x])
+        for j in touched:
+            a, b = edges[j]
+            now = partner[a] != b and _pair_check(instance, partner, a, b, relaxed)
+            if now != blocking[j]:
+                blocking[j] = now
+                if now:
+                    insort(queue, position[j])
+                else:
+                    del queue[bisect_left(queue, position[j])]
+    final = Matching(
+        n=graph.n,
+        pairs=frozenset((x, y) for x, y in enumerate(partner) if y is not None and x < y),
+    )
     trace = DynamicsTrace(
         policy=policy,
-        edge_count=len(instance.graph.edges),
+        edge_count=len(edges),
         initial=start,
-        initial_value=matching_value(instance, start),
+        initial_value=initial_value,
         steps=tuple(steps),
-        final=matching,
+        final=final,
         termination=termination,
     )
-    return matching, trace
+    return final, trace
 
 
 def run_brbp(
@@ -178,20 +213,13 @@ def run_brbp(
     termination guarantee exists), hitting the cap is reported in the trace
     as termination="cap".
     """
-    m_star, _ = max_weight_matching(instance, max_n=exact_max_n)
     m = len(instance.graph.edges)
     assertion = cap is None and isinstance(instance.sharing, EqualSharing)
     if cap is None:
         cap = max(2 * m * m, 1)
-    return _run(
-        instance,
-        m_star,
-        pick=lambda M: best_relaxed_blocking_pair(instance, M),
-        relaxed=True,
-        policy="brbp",
-        cap=cap,
-        cap_is_assertion=assertion,
-    )
+    _require_cap(cap)
+    m_star, _ = max_weight_matching(instance, max_n=exact_max_n)
+    return _run(instance, m_star, relaxed=True, policy="brbp", cap=cap, cap_is_assertion=assertion)
 
 
 def run_best_blocking_pair(
@@ -200,17 +228,13 @@ def run_best_blocking_pair(
     *,
     cap: int = 1_000_000,
 ) -> tuple[Matching, DynamicsTrace]:
-    """Repeatedly let the true blocking pair with maximum edge reward deviate."""
+    """Repeatedly let the true blocking pair with maximum edge reward deviate.
+
+    Ties break as in ``best_relaxed_blocking_pair``.
+    """
+    _require_cap(cap)
     start.validate_against(instance)
-    return _run(
-        instance,
-        start,
-        pick=lambda M: best_blocking_pair(instance, M),
-        relaxed=False,
-        policy="bbp",
-        cap=cap,
-        cap_is_assertion=False,
-    )
+    return _run(instance, start, relaxed=False, policy="bbp", cap=cap, cap_is_assertion=False)
 
 
 def run_arbitrary_dynamics(
@@ -220,24 +244,20 @@ def run_arbitrary_dynamics(
     *,
     cap: int = 1_000_000,
 ) -> tuple[Matching, DynamicsTrace]:
-    """Let a uniformly random blocking pair deviate at each step (seeded)."""
+    """Let a uniformly random blocking pair deviate at each step (seeded).
+
+    Each step draws one index into the blocking pairs in edge order.
+    """
+    _require_cap(cap)
     start.validate_against(instance)
-    rng = random.Random(seed)
-
-    def pick(M: Matching) -> Optional[Edge]:
-        candidates = blocking_pairs(instance, M)
-        if not candidates:
-            return None
-        return candidates[rng.randrange(len(candidates))]
-
     return _run(
         instance,
         start,
-        pick=pick,
         relaxed=False,
         policy="arbitrary",
         cap=cap,
         cap_is_assertion=False,
+        rng=random.Random(seed),
     )
 
 

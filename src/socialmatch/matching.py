@@ -284,9 +284,13 @@ def is_stable(instance: GameInstance, matching: Matching) -> StabilityResult:
 
 def deviation_for(matching: Matching, u: int, v: int, kind: str) -> Deviation:
     """Build the deviation matching (u, v) against the current matching."""
+    return _deviation(matching.partner_map, u, v, kind)
+
+
+def _deviation(partner: Sequence[Optional[int]], u: int, v: int, kind: str) -> Deviation:
     removed = []
-    w = matching.partner(u)
-    z = matching.partner(v)
+    w = partner[u]
+    z = partner[v]
     if w is not None and w != v:
         removed.append(normalize_edge(u, w))
     if z is not None and z != u:

@@ -135,8 +135,11 @@ def detect_preference_cycle(instance: GameInstance, mode: str = MODE_RAW) -> Opt
     only, for the witness.  The returned witness may revisit nodes on
     contrived instances but always satisfies the defining inequalities.
     """
+    return _preference_cycle(instance, _key_table(instance, mode))
+
+
+def _preference_cycle(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> Optional[tuple[int, ...]]:
     graph = instance.graph
-    keys = _key_table(instance, mode)
     states = [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
     states.sort()
     index = {s: i for i, s in enumerate(states)}
@@ -194,11 +197,14 @@ def greedy_mutual_best(
     Each extraction scans the remaining edges once, so total work is
     O(|V| |E|).
     """
-    cycle = detect_preference_cycle(instance, mode)
+    return _greedy(instance, _key_table(instance, mode), return_stats)
+
+
+def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], return_stats: bool = False):
+    cycle = _preference_cycle(instance, keys)
     if cycle is not None:
         raise PreferenceCycleError(cycle)
     graph = instance.graph
-    keys = _key_table(instance, mode)
     alive = [True] * graph.n
     pairs: list[tuple[int, int]] = []
     scans: list[int] = []
@@ -276,11 +282,11 @@ def solve_srp_q(
     matching is verified stable in the friendship game before returning;
     None means the reduction has no stable matching.
     """
+    keys = _key_table(instance, MODE_Q)
     try:
-        result = greedy_mutual_best(instance, MODE_Q)
+        result = _greedy(instance, keys)
     except PreferenceCycleError:
         result = None
-        keys = _key_table(instance, MODE_Q)
         for m in sorted(
             enumerate_matchings(instance.graph, max_n=max_n), key=lambda m: m.sorted_pairs()
         ):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from functools import lru_cache
 from fractions import Fraction as F
 from typing import Optional
 
+from socialmatch.dynamics import TraceStep
 from socialmatch.instance import (
     EqualSharing,
     FriendshipVector,
@@ -17,10 +19,13 @@ from socialmatch.instance import (
 )
 from socialmatch.matching import (
     BISWIVEL,
+    RELAXED_BISWIVEL,
     SWIVEL,
     Matching,
     apply_deviation,
+    blocking_pairs,
     deviation_for,
+    matching_value,
     node_reward,
 )
 from socialmatch.roommates import preference_key
@@ -78,6 +83,41 @@ def brute_improving(instance: GameInstance, matching: Matching, u: int, v: int) 
     return dense_perceived(instance, after, u) > dense_perceived(
         instance, matching, u
     ) and dense_perceived(instance, after, v) > dense_perceived(instance, matching, v)
+
+
+def full_scan_dynamics(
+    instance: GameInstance, start: Matching, policy: str, seed: int = 0, cap: int = 1_000_000
+) -> tuple[tuple[TraceStep, ...], Matching, str]:
+    """Reference loop for the dynamics runners: (steps, final matching, termination).
+
+    Every step scans all edges with ``blocking_pairs``, then applies the
+    deviation with ``apply_deviation`` and sums the new matching with
+    ``matching_value``.  ``policy`` is "arbitrary" (a seeded uniform pick
+    from the blocking pairs in edge order), "bbp" or "brbp" (the pair with
+    the largest reward, ties to the smallest pair; "brbp" uses relaxed
+    verdicts).
+    """
+    relaxed = policy == "brbp"
+    rng = random.Random(seed)
+    matching = start
+    steps: list[TraceStep] = []
+    while True:
+        pairs = blocking_pairs(instance, matching, relaxed)
+        if not pairs:
+            return tuple(steps), matching, "stable"
+        if policy == "arbitrary":
+            u, v = pairs[rng.randrange(len(pairs))]
+        else:
+            u, v = min(pairs, key=lambda p: (-instance.edge_reward(*p), p))
+        if len(steps) >= cap:
+            return tuple(steps), matching, "cap"
+        if matching.partner(u) is not None and matching.partner(v) is not None:
+            kind = RELAXED_BISWIVEL if relaxed else BISWIVEL
+        else:
+            kind = SWIVEL
+        dev = deviation_for(matching, u, v, kind)
+        matching = apply_deviation(matching, dev)
+        steps.append(TraceStep(len(steps), dev, instance.edge_reward(u, v), matching_value(instance, matching)))
 
 
 def bfs_preference_cycle(instance: GameInstance, mode: str) -> Optional[tuple[int, ...]]:

@@ -194,6 +194,15 @@ def test_dynamics_cap_hit_reported_distinctly(tmp_path, capsys):
     assert end["termination"] == "cap"
 
 
+def test_dynamics_negative_cap_exit_1(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "random", "--seed", "3", "--n", "7", "--density", "0.7", "--out", str(path))
+    for method, start, cap in (("arbitrary", ["--start", "empty"], "-1"), ("bbp", [], "-2"), ("brbp", [], "-3")):
+        code, out, err = run(capsys, "dynamics", "--instance", str(path), "--method", method, *start, "--cap", cap)
+        assert code == 1 and out == "", method
+        assert err == f"error: cap must be at least 0, got {cap}\n"
+
+
 def test_ccg_exact_mode_reports_forbidden_and_outer_equilibrium(tmp_path, capsys):
     from fractions import Fraction
     from socialmatch.ccg import ContributionGame, RewardFunction

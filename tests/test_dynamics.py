@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction as F
+
+import pytest
 
 from socialmatch.dynamics import (
     assert_trace_lemmas,
@@ -7,10 +10,10 @@ from socialmatch.dynamics import (
     run_best_blocking_pair,
     run_brbp,
 )
-from socialmatch.instance import EqualSharing, GameInstance, Graph
+from socialmatch.instance import EqualSharing, GameInstance, Graph, InstanceError
 from socialmatch.matching import RELAXED_BISWIVEL, Matching, is_stable, matching_value
 from socialmatch.oracle import max_weight_matching
-from helpers import path3_equal
+from helpers import ALPHA_SAMPLES, full_scan_dynamics, path3_equal
 from socialmatch.generators import (
     augment_with_auxiliary_neighbors,
     gen_pos_tight,
@@ -192,3 +195,63 @@ def test_brbp_general_sharing_runs_with_cap_reporting():
             assert is_stable(inst, matched).stable
         else:
             assert trace.termination == "cap"
+
+
+def _random_matching(instance: GameInstance, seed: int) -> Matching:
+    edges = list(instance.graph.edges)
+    random.Random(seed).shuffle(edges)
+    used: set[int] = set()
+    pairs = []
+    for u, v in edges:
+        if u not in used and v not in used:
+            used.update((u, v))
+            pairs.append((u, v))
+    return Matching.of(instance.graph.n, pairs)
+
+
+@pytest.mark.parametrize("rule", ("equal", "matthew", "parasite", "trust", "oblivious"))
+def test_maintained_blocking_set_matches_full_scan(rule):
+    # The runners keep the blocking set across steps and re-check only the
+    # edges at the nodes whose partner changed; the reference rescans every
+    # edge at every step.  Each run is compared step by step, with a large
+    # cap and with a small one, so that some runs end in "cap".
+    caps = 0
+    for ai, alpha in enumerate(ALPHA_SAMPLES):
+        for n in range(4, 31):
+            seed = 1000 * ai + n
+            inst = gen_random(seed=seed, n=n, density=min(0.6, 4 / n), rule=rule, alpha=alpha)
+            small = seed % 4
+            starts = [Matching.empty(n), _random_matching(inst, seed)]
+            if n <= 12:
+                m_star, _ = max_weight_matching(inst)
+                starts.append(m_star)
+                for cap in (300, small):
+                    final, trace = run_brbp(inst, cap=cap)
+                    assert (trace.steps, final, trace.termination) == full_scan_dynamics(
+                        inst, m_star, "brbp", cap=cap
+                    ), (rule, alpha, n, cap)
+            for start in starts:
+                for cap in (300, small):
+                    final, trace = run_best_blocking_pair(inst, start, cap=cap)
+                    assert (trace.steps, final, trace.termination) == full_scan_dynamics(
+                        inst, start, "bbp", cap=cap
+                    ), (rule, alpha, n, start, cap)
+                    caps += trace.termination == "cap"
+                    final, trace = run_arbitrary_dynamics(inst, start, seed, cap=cap)
+                    assert (trace.steps, final, trace.termination) == full_scan_dynamics(
+                        inst, start, "arbitrary", seed, cap=cap
+                    ), (rule, alpha, n, start, cap)
+    assert caps > 0
+
+
+def test_negative_cap_is_rejected():
+    inst = gen_random(seed=3, n=8, density=0.5, rule="trust")
+    for run in (
+        lambda cap: run_arbitrary_dynamics(inst, Matching.empty(8), seed=1, cap=cap),
+        lambda cap: run_best_blocking_pair(inst, Matching.empty(8), cap=cap),
+        lambda cap: run_brbp(inst, cap=cap),
+    ):
+        for cap in (-1, -3):
+            with pytest.raises(InstanceError, match=f"cap must be at least 0, got {cap}"):
+                run(cap)
+        assert run(0)[1].termination in ("stable", "cap")

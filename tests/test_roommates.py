@@ -230,3 +230,25 @@ def test_solve_srp_q_handles_cycles_by_enumeration():
     inst = gen_cyclic_triangle()
     assert detect_preference_cycle(inst, MODE_Q) is not None
     assert solve_srp_q(inst) is None
+
+
+def test_key_table_built_once_per_call(monkeypatch):
+    import socialmatch.roommates as roommates
+
+    builds = []
+
+    def counting(instance, mode):
+        builds.append(mode)
+        return _key_table(instance, mode)
+
+    monkeypatch.setattr(roommates, "_key_table", counting)
+    greedy_mutual_best(gen_random(seed=8, n=12, density=0.4), MODE_RAW)
+    assert builds == [MODE_RAW]
+    builds.clear()
+    with pytest.raises(PreferenceCycleError):
+        greedy_mutual_best(gen_cyclic_triangle(), MODE_RAW)
+    assert builds == [MODE_RAW]
+    builds.clear()
+    # Cyclic q-preferences: the detector and the enumeration share one table.
+    assert solve_srp_q(gen_cyclic_triangle()) is None
+    assert builds == [MODE_Q]
