@@ -143,8 +143,7 @@ def _run(
         position[i] = p
     partner = list(start.partner_map)
     blocking = [partner[u] != v and _pair_check(instance, partner, u, v, relaxed) for u, v in edges]
-    queue = [position[i] for i, b in enumerate(blocking) if b]
-    queue.sort()
+    queue = sorted(position[i] for i, b in enumerate(blocking) if b)
     initial_value = value = matching_value(instance, start)
     steps: list[TraceStep] = []
     while True:
