@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from socialmatch.dynamics import (
+    DynamicsTrace,
+    TraceStep,
     assert_trace_lemmas,
     best_relaxed_blocking_pair,
     run_arbitrary_dynamics,
@@ -11,7 +13,7 @@ from socialmatch.dynamics import (
     run_brbp,
 )
 from socialmatch.instance import EqualSharing, GameInstance, Graph, InstanceError
-from socialmatch.matching import RELAXED_BISWIVEL, Matching, is_stable, matching_value
+from socialmatch.matching import RELAXED_BISWIVEL, SWIVEL, Deviation, Matching, is_stable, matching_value
 from socialmatch.oracle import max_weight_matching
 from helpers import ALPHA_SAMPLES, full_scan_dynamics, path3_equal
 from socialmatch.generators import (
@@ -255,3 +257,64 @@ def test_negative_cap_is_rejected():
             with pytest.raises(InstanceError, match=f"cap must be at least 0, got {cap}"):
                 run(cap)
         assert run(0)[1].termination in ("stable", "cap")
+
+
+def _hand_trace(edge_count: int, steps) -> DynamicsTrace:
+    """A trace built from (kind, pair, reward, value after) rows; the matchings are placeholders."""
+    empty = Matching.empty(4)
+    return DynamicsTrace(
+        policy="brbp",
+        edge_count=edge_count,
+        initial=empty,
+        initial_value=F(0),
+        steps=tuple(
+            TraceStep(i, Deviation(kind, pair, (), pair), F(r), F(value))
+            for i, (kind, pair, r, value) in enumerate(steps)
+        ),
+        final=empty,
+        termination="stable",
+    )
+
+
+def _lemmas(empty=False, first=True, count=0, limit=3, distinct=True, ordering=True, monotone=True, passed=True):
+    return {
+        "empty": empty,
+        "first_deviation_is_relaxed_biswivel": first,
+        "biswivel_count": count,
+        "biswivel_limit": limit,
+        "biswivel_edges_distinct": distinct,
+        "reward_ordering_holds": ordering,
+        "phase_values_nondecreasing": monotone,
+        "passed": passed,
+    }
+
+
+RB = RELAXED_BISWIVEL
+
+
+@pytest.mark.parametrize(
+    "edge_count, steps, expected",
+    [
+        (3, [], _lemmas(empty=True)),
+        (3, [(SWIVEL, (0, 1), 1, 1)], _lemmas(first=False, passed=False)),
+        (3, [(RB, (0, 1), 2, 2), (RB, (0, 1), 2, 2)], _lemmas(count=2, distinct=False, passed=False)),
+        (1, [(RB, (0, 1), 2, 2), (RB, (1, 2), 1, 1)], _lemmas(count=2, limit=1, passed=False)),
+        (3, [(RB, (0, 1), 2, 5), (SWIVEL, (2, 3), 1, 4)], _lemmas(count=1, monotone=False, passed=False)),
+        # The step that inserted a lower reward than the last biswivel is
+        # neither the first step nor the one just before the biswivel.
+        (
+            3,
+            [(RB, (0, 1), 5, 5), (SWIVEL, (2, 3), 1, 6), (SWIVEL, (1, 3), 3, 7), (RB, (0, 2), 2, 7)],
+            _lemmas(count=2, ordering=False, passed=False),
+        ),
+        # An earlier reward equal to the biswivel's keeps the ordering.
+        (
+            3,
+            [(RB, (0, 1), 2, 2), (SWIVEL, (2, 3), 3, 5), (RB, (1, 2), 2, 4)],
+            _lemmas(count=2),
+        ),
+    ],
+    ids=["empty", "first-swivel", "repeated-edge", "over-limit", "phase-drop", "reward-order", "reward-tie"],
+)
+def test_trace_lemmas_hand_built(edge_count, steps, expected):
+    assert assert_trace_lemmas(_hand_trace(edge_count, steps)).to_dict() == expected
