@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
-from .instance import Edge, EqualSharing, GameInstance, InstanceError
+from .instance import EqualSharing, GameInstance, InstanceError
 from .matching import (
     BISWIVEL,
     RELAXED_BISWIVEL,
@@ -32,7 +31,6 @@ from .matching import (
     Matching,
     _deviation,
     _pair_check,
-    blocking_pairs,
     matching_value,
 )
 from .oracle import DEFAULT_EXACT_LIMIT, max_weight_matching
@@ -76,17 +74,11 @@ class DynamicsTrace:
     final: Matching
     termination: str  # "stable" or "cap"
 
-    @cached_property
-    def phase_starts(self) -> tuple[int, ...]:
-        return tuple(
-            s.index for s in self.steps if s.deviation.kind in (BISWIVEL, RELAXED_BISWIVEL)
-        )
-
     def to_jsonl(self) -> str:
         lines = []
         phase = 0
         for s in self.steps:
-            if s.index in self.phase_starts:
+            if s.deviation.kind in (BISWIVEL, RELAXED_BISWIVEL):
                 phase += 1
                 lines.append(json.dumps({"kind": "phase", "step": s.index, "phase": phase}, sort_keys=True))
             lines.append(json.dumps(s.to_dict(), sort_keys=True))
@@ -97,18 +89,6 @@ class DynamicsTrace:
             )
         )
         return "\n".join(lines) + "\n"
-
-
-def best_relaxed_blocking_pair(instance: GameInstance, matching: Matching) -> Optional[Edge]:
-    """The relaxed blocking pair with maximum edge reward.
-
-    Ties break to the lexicographically smallest pair (min endpoint, then
-    max endpoint) so runs are reproducible.
-    """
-    pairs = blocking_pairs(instance, matching, relaxed=True)
-    if not pairs:
-        return None
-    return min(pairs, key=lambda p: (-instance.edge_reward(*p), p))
 
 
 def _require_cap(cap: int) -> None:
@@ -229,7 +209,8 @@ def run_best_blocking_pair(
 ) -> tuple[Matching, DynamicsTrace]:
     """Repeatedly let the true blocking pair with maximum edge reward deviate.
 
-    Ties break as in ``best_relaxed_blocking_pair``.
+    Ties break to the lexicographically smallest pair (min endpoint, then
+    max endpoint) so runs are reproducible.
     """
     _require_cap(cap)
     start.validate_against(instance)
@@ -283,16 +264,7 @@ class TraceLemmaReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "empty": self.empty,
-            "first_deviation_is_relaxed_biswivel": self.first_deviation_is_relaxed_biswivel,
-            "biswivel_count": self.biswivel_count,
-            "biswivel_limit": self.biswivel_limit,
-            "biswivel_edges_distinct": self.biswivel_edges_distinct,
-            "reward_ordering_holds": self.reward_ordering_holds,
-            "phase_values_nondecreasing": self.phase_values_nondecreasing,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def assert_trace_lemmas(trace: DynamicsTrace) -> TraceLemmaReport:
@@ -305,49 +277,27 @@ def assert_trace_lemmas(trace: DynamicsTrace) -> TraceLemmaReport:
     decreases after the phase-opening step.
     """
     steps = trace.steps
-    if not steps:
-        return TraceLemmaReport(
-            empty=True,
-            first_deviation_is_relaxed_biswivel=True,
-            biswivel_count=0,
-            biswivel_limit=trace.edge_count,
-            biswivel_edges_distinct=True,
-            reward_ordering_holds=True,
-            phase_values_nondecreasing=True,
-        )
-
     biswivel_kinds = (BISWIVEL, RELAXED_BISWIVEL)
-    first_ok = steps[0].deviation.kind in biswivel_kinds
     biswivels = [s for s in steps if s.deviation.kind in biswivel_kinds]
     edges = [s.deviation.added for s in biswivels]
-    distinct = len(edges) == len(set(edges))
 
-    ordering = True
-    for s in biswivels:
-        for earlier in steps[: s.index]:
-            if earlier.reward < s.reward:
-                ordering = False
-                break
-        if not ordering:
-            break
-
-    monotone = True
-    prev_value = None
+    ordering = monotone = True
+    lowest = prev_value = None  # smallest reward and last value before the current step
     for s in steps:
-        if s.deviation.kind in biswivel_kinds:
-            prev_value = s.value_after  # new phase baseline
-        else:
-            if prev_value is not None and s.value_after < prev_value:
-                monotone = False
-                break
-            prev_value = s.value_after
+        if s.deviation.kind in biswivel_kinds:  # opens a phase: its value is the new baseline
+            if lowest is not None and lowest < s.reward:
+                ordering = False
+        elif prev_value is not None and s.value_after < prev_value:
+            monotone = False
+        lowest = s.reward if lowest is None else min(lowest, s.reward)
+        prev_value = s.value_after
 
     return TraceLemmaReport(
-        empty=False,
-        first_deviation_is_relaxed_biswivel=first_ok,
+        empty=not steps,
+        first_deviation_is_relaxed_biswivel=not steps or steps[0].deviation.kind in biswivel_kinds,
         biswivel_count=len(biswivels),
         biswivel_limit=trace.edge_count,
-        biswivel_edges_distinct=distinct,
+        biswivel_edges_distinct=len(edges) == len(set(edges)),
         reward_ordering_holds=ordering,
         phase_values_nondecreasing=monotone,
     )

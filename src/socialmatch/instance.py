@@ -308,38 +308,28 @@ class GameInstance:
         return tuple(out)
 
     @cached_property
-    def endpoint_rewards(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per edge: the reward each endpoint collects when the edge is matched.
-
-        Under equal sharing this is the full edge reward for both endpoints
-        (matched players each enjoy r_e); under every other rule it is the
-        share.  The two conventions differ by a uniform factor of two for
-        equal sharing, so all strict-inequality verdicts agree either way.
-        """
-        if isinstance(self.sharing, EqualSharing):
-            return tuple((r, r) for r in self.rewards)
-        return self.shares
-
-    @cached_property
-    def stakes(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per edge: endpoint reward plus alpha1 times the partner's reward.
-
-        This is the quantity each endpoint weighs when deciding whether to
-        match along the edge, in the same convention as endpoint_rewards.
-        """
-        a1 = self.friendship.alpha1
-        return tuple((eu + a1 * ev, ev + a1 * eu) for eu, ev in self.endpoint_rewards)
-
-    @cached_property
     def oriented_edges(self) -> tuple[dict[int, tuple[Fraction, Fraction, Fraction]], ...]:
         """Per node x, per neighbour y: (stake of x, endpoint reward of x, endpoint reward of y) on xy.
 
+        An endpoint reward is what the endpoint collects when the edge is
+        matched: its share, except under equal sharing, where both matched
+        players enjoy the full edge reward r_e.  The two conventions differ
+        by a uniform factor of two for equal sharing, so all
+        strict-inequality verdicts agree either way.  The stake of x is its
+        endpoint reward plus alpha1 times y's: the quantity x weighs when
+        deciding whether to match along xy.
+
         Built on first use; every blocking-pair verdict reads its terms here.
         """
+        if isinstance(self.sharing, EqualSharing):
+            ends = [(r, r) for r in self.rewards]
+        else:
+            ends = self.shares
+        a1 = self.friendship.alpha1
         table: tuple[dict, ...] = tuple({} for _ in range(self.graph.n))
-        for (u, v), (eu, ev), (su, sv) in zip(self.graph.edges, self.endpoint_rewards, self.stakes):
-            table[u][v] = (su, eu, ev)
-            table[v][u] = (sv, ev, eu)
+        for (u, v), (eu, ev) in zip(self.graph.edges, ends):
+            table[u][v] = (eu + a1 * ev, eu, ev)
+            table[v][u] = (ev + a1 * eu, ev, eu)
         return table
 
     @cached_property

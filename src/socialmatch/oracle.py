@@ -178,32 +178,6 @@ def enumerate_stable_matchings(
     return tuple(sorted(found, key=lambda m: m.sorted_pairs()))
 
 
-def price_of_anarchy(
-    instance: GameInstance,
-    *,
-    max_n: int = DEFAULT_ENUM_LIMIT,
-    exact_max_n: int = DEFAULT_EXACT_LIMIT,
-) -> Optional[Fraction]:
-    """The anarchy ratio of ``audit_bounds``: optimum over the worst stable value.
-
-    None when no stable matching exists or the worst stable value is 0.
-    """
-    return audit_bounds(instance, max_n=max_n, exact_max_n=exact_max_n).poa
-
-
-def price_of_stability(
-    instance: GameInstance,
-    *,
-    max_n: int = DEFAULT_ENUM_LIMIT,
-    exact_max_n: int = DEFAULT_EXACT_LIMIT,
-) -> Optional[Fraction]:
-    """The stability ratio of ``audit_bounds``: optimum over the best stable value.
-
-    None when no stable matching exists or the best stable value is 0.
-    """
-    return audit_bounds(instance, max_n=max_n, exact_max_n=exact_max_n).pos
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """One bound comparison; checked=False when the ratio does not exist."""

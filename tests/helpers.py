@@ -10,6 +10,7 @@ from typing import Optional
 
 from socialmatch.dynamics import TraceStep
 from socialmatch.instance import (
+    Edge,
     EqualSharing,
     FriendshipVector,
     GameInstance,
@@ -85,14 +86,23 @@ def brute_improving(instance: GameInstance, matching: Matching, u: int, v: int) 
     ) and dense_perceived(instance, after, v) > dense_perceived(instance, matching, v)
 
 
+def best_pair(instance: GameInstance, matching: Matching, relaxed: bool) -> Optional[Edge]:
+    """Reference pick for bbp and brbp: a full scan for the blocking pair with
+    maximum edge reward, ties to the lexicographically smallest pair."""
+    pairs = blocking_pairs(instance, matching, relaxed)
+    if not pairs:
+        return None
+    return min(pairs, key=lambda p: (-instance.edge_reward(*p), p))
+
+
 def full_scan_dynamics(
     instance: GameInstance, start: Matching, policy: str, seed: int = 0, cap: int = 1_000_000
 ) -> tuple[tuple[TraceStep, ...], Matching, str]:
     """Reference loop for the dynamics runners: (steps, final matching, termination).
 
-    Every step scans all edges with ``blocking_pairs``, then applies the
-    deviation with ``apply_deviation`` and sums the new matching with
-    ``matching_value``.  ``policy`` is "arbitrary" (a seeded uniform pick
+    Every step scans all edges with ``blocking_pairs`` (through ``best_pair``
+    for "bbp" and "brbp"), then applies the deviation with
+    ``apply_deviation`` and sums the new matching with ``matching_value``.  ``policy`` is "arbitrary" (a seeded uniform pick
     from the blocking pairs in edge order), "bbp" or "brbp" (the pair with
     the largest reward, ties to the smallest pair; "brbp" uses relaxed
     verdicts).
@@ -102,13 +112,14 @@ def full_scan_dynamics(
     matching = start
     steps: list[TraceStep] = []
     while True:
-        pairs = blocking_pairs(instance, matching, relaxed)
-        if not pairs:
-            return tuple(steps), matching, "stable"
         if policy == "arbitrary":
-            u, v = pairs[rng.randrange(len(pairs))]
+            pairs = blocking_pairs(instance, matching, relaxed)
+            pair = pairs[rng.randrange(len(pairs))] if pairs else None
         else:
-            u, v = min(pairs, key=lambda p: (-instance.edge_reward(*p), p))
+            pair = best_pair(instance, matching, relaxed)
+        if pair is None:
+            return tuple(steps), matching, "stable"
+        u, v = pair
         if len(steps) >= cap:
             return tuple(steps), matching, "cap"
         if matching.partner(u) is not None and matching.partner(v) is not None:

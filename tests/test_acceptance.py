@@ -36,11 +36,10 @@ from socialmatch.instance import (
 )
 from socialmatch.matching import is_stable, matching_value
 from socialmatch.oracle import (
+    audit_bounds,
     enumerate_matchings,
     enumerate_stable_matchings,
     max_weight_matching,
-    price_of_anarchy,
-    price_of_stability,
 )
 from socialmatch.roommates import (
     MODE_RAW,
@@ -78,21 +77,21 @@ def announce(criterion: str) -> None:
 
 def test_criterion_1_tight_gadget_exactness():
     start = time.monotonic()
-    assert price_of_anarchy(gen_path3_equal()) == 2
+    assert audit_bounds(gen_path3_equal()).poa == 2
 
     for a1, eps in ((F(0), F(1, 10)), (F(1, 4), F(1, 7)), (F(1, 2), F(1, 10)), (F(1), F(1, 3))):
         inst = gen_pos_tight(a1, eps)
         stable = enumerate_stable_matchings(inst)
         assert len(stable) == 1 and stable[0].sorted_pairs() == ((1, 2),)
-        assert price_of_stability(inst) == (2 + 2 * a1) / (1 + 2 * a1 + eps)
+        assert audit_bounds(inst).pos == (2 + 2 * a1) / (1 + 2 * a1 + eps)
 
     for R in (1, 2, 5, 10):
-        assert price_of_anarchy(gen_matthew_poa_tight(R)) == R + 1
+        assert audit_bounds(gen_matthew_poa_tight(R)).poa == R + 1
 
     for R, a1 in RS_GRID:
         inst = gen_friendship_rs_tight(R, a1, "poa")
         assert compute_R(inst) == R
-        assert price_of_anarchy(inst) == 1 + compute_Q(inst)
+        assert audit_bounds(inst).poa == 1 + compute_Q(inst)
 
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"tight gadgets took {elapsed:.3f}s"
@@ -111,7 +110,7 @@ def test_criterion_1_tight_gadget_exactness():
 def test_criterion_1_pos_variant_attains_q_prime_exactly():
     for R, a1 in RS_GRID:
         inst = gen_friendship_rs_tight(R, a1, "pos", F(1, 1000))
-        assert price_of_stability(inst) == compute_Q_prime(inst)
+        assert audit_bounds(inst).pos == compute_Q_prime(inst)
 
 
 def test_criterion_1_pos_variant_exact_attained_value():
@@ -119,7 +118,7 @@ def test_criterion_1_pos_variant_exact_attained_value():
         for eps in (F(1, 100), F(1, 10000)):
             inst = gen_friendship_rs_tight(R, a1, "pos", eps)
             attained = (1 + a1) * (1 + R) / (1 + a1 * (R + 1) + eps * (1 + a1 * R))
-            assert price_of_stability(inst) == attained
+            assert audit_bounds(inst).pos == attained
             assert attained < compute_Q_prime(inst)
     announce("criterion 1 (pos variant: exact attained ratio, strictly below the Q' limit)")
 
@@ -173,19 +172,19 @@ def test_criterion_4_bound_sweeps():
                 yield inst
 
     for inst in instances("equal", ALPHA_PALETTE):
-        poa = price_of_anarchy(inst)
+        poa = audit_bounds(inst).poa
         assert poa is not None and poa <= 2
         q, qp = compute_Q(inst), compute_Q_prime(inst)
         assert q < qp <= q + 1
 
     for inst in instances("trust", ((),)):
-        poa = price_of_anarchy(inst)
+        poa = audit_bounds(inst).poa
         assert poa is not None and poa <= 3
         q, qp = compute_Q(inst), compute_Q_prime(inst)
         assert q < qp <= q + 1
 
     for inst in instances("oblivious", ((),)):
-        poa = price_of_anarchy(inst)
+        poa = audit_bounds(inst).poa
         if poa is not None:
             assert poa <= 1 + compute_R(inst)
         q, qp = compute_Q(inst), compute_Q_prime(inst)
@@ -195,11 +194,10 @@ def test_criterion_4_bound_sweeps():
     for inst in instances("oblivious", friendship_alphas):
         q, qp = compute_Q(inst), compute_Q_prime(inst)
         assert q < qp <= q + 1
-        poa = price_of_anarchy(inst)
-        if poa is not None:
-            assert poa <= 1 + q
-            pos = price_of_stability(inst)
-            assert pos is not None and pos <= 1 + q
+        report = audit_bounds(inst)
+        if report.poa is not None:
+            assert report.poa <= 1 + q
+            assert report.pos is not None and report.pos <= 1 + q
     announce("criterion 4 (anarchy/stability bound sweeps, 500 instances per rule)")
 
 

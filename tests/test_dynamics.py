@@ -7,7 +7,6 @@ from socialmatch.dynamics import (
     DynamicsTrace,
     TraceStep,
     assert_trace_lemmas,
-    best_relaxed_blocking_pair,
     run_arbitrary_dynamics,
     run_best_blocking_pair,
     run_brbp,
@@ -15,7 +14,7 @@ from socialmatch.dynamics import (
 from socialmatch.instance import EqualSharing, GameInstance, Graph, InstanceError
 from socialmatch.matching import RELAXED_BISWIVEL, SWIVEL, Deviation, Matching, is_stable, matching_value
 from socialmatch.oracle import max_weight_matching
-from helpers import ALPHA_SAMPLES, full_scan_dynamics, path3_equal
+from helpers import ALPHA_SAMPLES, best_pair, full_scan_dynamics, path3_equal
 from socialmatch.generators import (
     augment_with_auxiliary_neighbors,
     gen_pos_tight,
@@ -27,12 +26,12 @@ OUTER_PAIRING = Matching.of(4, [(0, 1), (2, 3)])
 
 def test_best_relaxed_pair_none_when_stable():
     inst = path3_equal(alpha=(F(1, 2),))
-    assert best_relaxed_blocking_pair(inst, OUTER_PAIRING) is None
+    assert best_pair(inst, OUTER_PAIRING, relaxed=True) is None
 
 
 def test_best_relaxed_pair_pos_gadget():
     inst = gen_pos_tight(F(1, 2), F(1, 10))
-    assert best_relaxed_blocking_pair(inst, OUTER_PAIRING) == (1, 2)
+    assert best_pair(inst, OUTER_PAIRING, relaxed=True) == (1, 2)
 
 
 def test_best_pair_tie_breaks_lexicographically():
@@ -47,7 +46,7 @@ def test_best_pair_tie_breaks_lexicographically():
         base.friendship,
     )
     m = Matching.of(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    picks = {best_relaxed_blocking_pair(twin, m) for _ in range(3)}
+    picks = {best_pair(twin, m, relaxed=True) for _ in range(3)}
     assert picks == {(1, 2)}
 
 

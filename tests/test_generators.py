@@ -11,11 +11,10 @@ from socialmatch.instance import (
 )
 from socialmatch.matching import Matching, is_improving_pair
 from socialmatch.oracle import (
+    audit_bounds,
     enumerate_matchings,
     enumerate_stable_matchings,
     max_weight_matching,
-    price_of_anarchy,
-    price_of_stability,
 )
 from socialmatch.roommates import MODE_Q, preference_key
 from socialmatch.generators import (
@@ -33,8 +32,9 @@ from socialmatch.generators import (
 
 def test_path3_closed_forms():
     inst = gen_path3_equal()
-    assert price_of_anarchy(inst) == 2
-    assert price_of_stability(inst) == 1
+    report = audit_bounds(inst)
+    assert report.poa == 2
+    assert report.pos == 1
     assert len(enumerate_stable_matchings(inst)) == 2
 
 
@@ -43,7 +43,7 @@ def test_pos_tight_closed_form_and_uniqueness():
         inst = gen_pos_tight(a1, eps)
         stable = enumerate_stable_matchings(inst)
         assert [m.sorted_pairs() for m in stable] == [((1, 2),)]
-        assert price_of_stability(inst) == (2 + 2 * a1) / (1 + 2 * a1 + eps)
+        assert audit_bounds(inst).pos == (2 + 2 * a1) / (1 + 2 * a1 + eps)
 
 
 def test_pos_tight_validates_parameters():
@@ -55,12 +55,12 @@ def test_pos_tight_validates_parameters():
 
 def test_matthew_poa_closed_forms():
     for R in (1, 2, 5, 10):
-        assert price_of_anarchy(gen_matthew_poa_tight(R)) == R + 1
+        assert audit_bounds(gen_matthew_poa_tight(R)).poa == R + 1
     inst = gen_matthew_poa_tight(1)
     assert compute_R(inst) == 1
     for R, eps in ((3, F(1, 10)), (7, F(1, 2))):
         pos_inst = gen_matthew_poa_tight(R, pos_variant=True, eps=eps)
-        assert price_of_stability(pos_inst) == F(R + 1) / (1 + eps)
+        assert audit_bounds(pos_inst).pos == F(R + 1) / (1 + eps)
 
 
 def test_friendship_rs_poa_closed_form():
@@ -70,9 +70,10 @@ def test_friendship_rs_poa_closed_form():
             assert compute_R(inst) == R
             q = compute_Q(inst)
             assert q == (R + a1) / (1 + a1 * R)
-            assert price_of_anarchy(inst) == 1 + q
+            poa = audit_bounds(inst).poa
+            assert poa == 1 + q
             if a1 == 0:
-                assert price_of_anarchy(inst) == 1 + R
+                assert poa == 1 + R
 
 
 def test_friendship_rs_pos_exact_value_approaches_limit():
@@ -80,7 +81,7 @@ def test_friendship_rs_pos_exact_value_approaches_limit():
     values = []
     for eps in (F(1, 10), F(1, 100), F(1, 1000)):
         inst = gen_friendship_rs_tight(R, a1, "pos", eps)
-        pos = price_of_stability(inst)
+        pos = audit_bounds(inst).pos
         assert pos == (1 + a1) * (1 + R) / (1 + a1 * (R + 1) + eps * (1 + a1 * R))
         values.append(pos)
     q_prime = compute_Q_prime(gen_friendship_rs_tight(R, a1, "pos", F(1, 10)))

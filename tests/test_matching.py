@@ -245,7 +245,7 @@ def test_blocking_always_raises_stake():
     for seed in range(8):
         for rule in ("equal", "oblivious"):
             inst = gen_random(seed=seed, n=7, density=0.5, rule=rule, alpha=(F(1, 2), F(1, 4)))
-            stakes = inst.stakes
+            table = inst.oriented_edges
             for m in all_matchings(inst)[:30]:
                 for u, v in inst.graph.edges:
                     for check in (is_improving_pair, is_relaxed_blocking_pair):
@@ -255,13 +255,8 @@ def test_blocking_always_raises_stake():
                             w = m.partner(node)
                             if w is None:
                                 continue
-                            i_new = inst.edge_id(u, v)
-                            i_old = inst.edge_id(node, w)
-                            a_new, _ = inst.graph.edges[i_new]
-                            a_old, _ = inst.graph.edges[i_old]
-                            stake_new = stakes[i_new][0 if node == a_new else 1]
-                            stake_old = stakes[i_old][0 if node == a_old else 1]
-                            assert stake_new > stake_old
+                            other = v if node == u else u
+                            assert table[node][other][0] > table[node][w][0]
 
 
 def test_is_stable_middle_only_any_alpha():

@@ -11,8 +11,6 @@ from socialmatch.oracle import (
     enumerate_matchings,
     enumerate_stable_matchings,
     max_weight_matching,
-    price_of_anarchy,
-    price_of_stability,
 )
 from helpers import ALPHA_SAMPLES, equal_instance, oblivious_instance, path3_equal
 from socialmatch.generators import (
@@ -141,48 +139,48 @@ def test_stable_set_nonexistence_fixture():
 
 
 def test_poa_path():
-    assert price_of_anarchy(path3_equal()) == 2
+    assert audit_bounds(path3_equal()).poa == 2
 
 
 def test_poa_matthew_gadget():
     for R in (1, 2, 5, 10):
-        assert price_of_anarchy(gen_matthew_poa_tight(R)) == R + 1
+        assert audit_bounds(gen_matthew_poa_tight(R)).poa == R + 1
 
 
 def test_poa_single_edge():
     inst = equal_instance(Graph(2, ((0, 1),)), (5,))
-    assert price_of_anarchy(inst) == 1
+    assert audit_bounds(inst).poa == 1
 
 
 def test_ratios_with_zero_worst_stable_value():
     # Both the empty matching (value 0) and the edge (value 1) are stable.
     inst = oblivious_instance(Graph(2, ((0, 1),)), {(0, 1): (0, 1)})
-    assert price_of_anarchy(inst) is None
-    assert price_of_stability(inst) == 1
     report = audit_bounds(inst)
     assert report.stable_values == (0, 1)
     assert (report.poa, report.pos) == (None, 1)
     assert report.bounds == () and report.all_bounds_pass
     # Without edges the only stable value is 0: both ratios are undefined.
     edgeless = equal_instance(Graph(2, ()), ())
-    assert (price_of_anarchy(edgeless), price_of_stability(edgeless)) == (None, None)
+    report = audit_bounds(edgeless)
+    assert (report.poa, report.pos) == (None, None)
 
 
 def test_poa_none_when_no_stable_matching():
-    assert price_of_anarchy(gen_cyclic_triangle()) is None
-    assert price_of_stability(gen_cyclic_triangle()) is None
+    report = audit_bounds(gen_cyclic_triangle())
+    assert report.poa is None
+    assert report.pos is None
 
 
 def test_pos_tight_gadget():
     for a1, eps in ((F(1, 2), F(1, 10)), (F(1, 4), F(1, 5)), (F(1), F(1, 3))):
         inst = gen_pos_tight(a1, eps)
-        assert price_of_stability(inst) == (2 + 2 * a1) / (1 + 2 * a1 + eps)
+        assert audit_bounds(inst).pos == (2 + 2 * a1) / (1 + 2 * a1 + eps)
 
 
 def test_pos_matthew_variant():
     for R, eps in ((2, F(1, 10)), (5, F(1, 4))):
         inst = gen_matthew_poa_tight(R, pos_variant=True, eps=eps)
-        assert price_of_stability(inst) == F(R + 1) / (1 + eps)
+        assert audit_bounds(inst).pos == F(R + 1) / (1 + eps)
 
 
 def test_pos_friendship_rs_exact_value():
@@ -191,7 +189,7 @@ def test_pos_friendship_rs_exact_value():
     for R, a1, eps in ((2, F(1, 2), F(1, 100)), (5, F(1, 4), F(1, 1000))):
         inst = gen_friendship_rs_tight(R, a1, "pos", eps)
         expected = (1 + a1) * (1 + R) / (1 + a1 * (R + 1) + eps * (1 + a1 * R))
-        assert price_of_stability(inst) == expected
+        assert audit_bounds(inst).pos == expected
         q_prime = (1 + a1) * (1 + R) / (1 + a1 * (R + 1))
         assert expected < q_prime
 
