@@ -9,6 +9,7 @@ randomness behind explicit seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -82,14 +83,14 @@ def _parse_alpha(text: Optional[str]) -> Optional[FriendshipVector]:
     return FriendshipVector(tuple(rat(p) for p in parts))
 
 
-def _load_instance(args) -> GameInstance:
-    instance = instance_from_json(_read(args.instance))
-    alpha = _parse_alpha(getattr(args, "alpha", None))
-    if alpha is not None:
-        import dataclasses
+def _with_alpha(args, obj):
+    """An instance or game with its friendship vector replaced by ``--alpha``, when given."""
+    alpha = _parse_alpha(args.alpha)
+    return obj if alpha is None else dataclasses.replace(obj, friendship=alpha)
 
-        instance = dataclasses.replace(instance, friendship=alpha)
-    return instance
+
+def _load_instance(args, path: str) -> GameInstance:
+    return _with_alpha(args, instance_from_json(_read(path)))
 
 
 def _caps(args) -> tuple[int, int]:
@@ -142,7 +143,7 @@ def _alpha_list(text: Optional[str]) -> tuple:
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args)
+    instance = _load_instance(args, args.instance)
     enum_max_n, exact_max_n = _caps(args)
     report: dict = {"method": args.method}
     if args.method == "brbp":
@@ -177,13 +178,13 @@ def cmd_audit(args) -> int:
     enum_max_n, exact_max_n = _caps(args)
     if args.manifest:
         paths = json.loads(_read(args.manifest))
-        if not isinstance(paths, list):
+        if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
             print("manifest must be a JSON array of instance paths", file=sys.stderr)
             return EXIT_ERROR
         reports = []
         worst = EXIT_OK
         for path in paths:
-            instance = instance_from_json(_read(path))
+            instance = _load_instance(args, path)
             report = audit_bounds(instance, max_n=enum_max_n, exact_max_n=exact_max_n)
             reports.append({"instance": path, **report.to_dict()})
             if report.stable_count == 0 or not report.all_bounds_pass:
@@ -193,7 +194,7 @@ def cmd_audit(args) -> int:
     if not args.instance:
         print("audit needs --instance or --manifest", file=sys.stderr)
         return EXIT_ERROR
-    instance = _load_instance(args)
+    instance = _load_instance(args, args.instance)
     report = audit_bounds(instance, max_n=enum_max_n, exact_max_n=exact_max_n)
     _emit(report.to_dict(), args.format)
     if report.stable_count == 0:
@@ -204,7 +205,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    instance = _load_instance(args)
+    if args.seed is not None and args.method != "arbitrary":
+        print(f"--seed applies only to --method arbitrary, not {args.method}", file=sys.stderr)
+        return EXIT_ERROR
+    instance = _load_instance(args, args.instance)
     _, exact_max_n = _caps(args)
     if args.method == "brbp":
         if args.start is not None:
@@ -222,7 +226,8 @@ def cmd_dynamics(args) -> int:
         if args.method == "bbp":
             _, trace = run_best_blocking_pair(instance, start, cap=cap)
         else:
-            _, trace = run_arbitrary_dynamics(instance, start, args.seed, cap=cap)
+            seed = 0 if args.seed is None else args.seed
+            _, trace = run_arbitrary_dynamics(instance, start, seed, cap=cap)
     sys.stdout.write(trace.to_jsonl())
     if args.method == "brbp":
         lemmas = assert_trace_lemmas(trace)
@@ -265,7 +270,7 @@ def cmd_ccg(args) -> int:
 
 def cmd_check(args) -> int:
     if args.matching:
-        instance = _load_instance(args)
+        instance = _load_instance(args, args.instance)
         matched = Matching.from_dict(json.loads(_read(args.matching)), instance.graph.n)
         verdict = is_stable(instance, matched)
         doc = {
@@ -276,7 +281,7 @@ def cmd_check(args) -> int:
         _emit(doc, args.format)
         return EXIT_OK if verdict.stable else EXIT_NEGATIVE
     if args.game and args.profile:
-        game = ccg_from_json(_read(args.game))
+        game = _with_alpha(args, ccg_from_json(_read(args.game)))
         profile = StrategyProfile.from_dict(json.loads(_read(args.profile)), game)
         verdict = is_pairwise_equilibrium(game, profile, grid_k=args.grid_k)
         _emit(verdict.to_dict(game), args.format)
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=("brbp", "bbp", "arbitrary"), default="brbp")
     p.add_argument("--start", help="'opt' (default), 'empty', or a matching JSON path; not with brbp")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --method arbitrary (default: 0); not with bbp or brbp")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_dynamics)
 

@@ -1,10 +1,20 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
-from socialmatch.ccg import ccg_to_json
+import pytest
+
+import socialmatch
+from socialmatch.ccg import ccg_from_json, ccg_to_json
 from socialmatch.cli import main
 from socialmatch.generators import gen_random_ccg
-from socialmatch.instance import instance_from_json
+from socialmatch.instance import FriendshipVector, instance_from_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -454,3 +464,65 @@ def test_malformed_rewards_and_sharing_exit_1(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         for command in ("solve", "audit", "dynamics"):
             _assert_exit_1(*run(capsys, command, "--instance", str(path)), (command, doc))
+
+
+def test_audit_manifest_applies_alpha(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--out", str(path))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([str(path)]))
+    code, out, _ = run(capsys, "audit", "--manifest", str(manifest), "--alpha", "1/2")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    bound = [b for b in report["bounds"] if b["name"] == "pos_le_equal_bound"][0]
+    assert bound["bound"] == "3/2"
+    code, single, _ = run(capsys, "audit", "--instance", str(path), "--alpha", "1/2")
+    assert {**json.loads(single), "instance": str(path)} == report
+
+
+def test_check_profile_applies_alpha(tmp_path, capsys):
+    gpath = GOLDEN / "ccg-atmost-equal.game.json"
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps({"alloc": []}))
+    code, out, _ = run(capsys, "check", "--game", str(gpath), "--profile", str(ppath), "--alpha", "1")
+    assert code == 2
+    assert json.loads(out)["witness"]["utilities_after"] == ["5/8", "5/8"]
+    # The same as writing alpha 1 into the game itself.
+    game = ccg_from_json(gpath.read_text(encoding="utf-8"))
+    rewritten = tmp_path / "game.json"
+    rewritten.write_text(ccg_to_json(dataclasses.replace(game, friendship=FriendshipVector((F(1),)))))
+    assert run(capsys, "check", "--game", str(rewritten), "--profile", str(ppath)) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "entry", [None, 1.5, {}, True, 1, 0, ["a.json"]], ids=["null", "float", "object", "true", "one", "zero", "list"]
+)
+def test_audit_manifest_rejects_non_string_entries(tmp_path, entry):
+    # In a child process: an integer entry would otherwise be opened as a
+    # file descriptor of the test runner itself.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([entry]))
+    src = str(Path(socialmatch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "socialmatch", "audit", "--manifest", str(manifest)],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "manifest must be a JSON array of instance paths\n"
+
+
+def test_dynamics_seed_only_with_arbitrary(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "random", "--seed", "5", "--n", "8", "--density", "0.6", "--out", str(path))
+    for method in ("bbp", "brbp"):
+        code, out, err = run(capsys, "dynamics", "--instance", str(path), "--method", method, "--seed", "3")
+        assert (code, out) == (1, "")
+        assert err == f"--seed applies only to --method arbitrary, not {method}\n"
+    # Without --seed, arbitrary dynamics use seed 0.
+    argv = ("dynamics", "--instance", str(path), "--method", "arbitrary", "--start", "empty")
+    assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
