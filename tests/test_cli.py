@@ -476,7 +476,7 @@ def test_audit_manifest_applies_alpha(tmp_path, capsys):
     (report,) = json.loads(out)["reports"]
     bound = [b for b in report["bounds"] if b["name"] == "pos_le_equal_bound"][0]
     assert bound["bound"] == "3/2"
-    code, single, _ = run(capsys, "audit", "--instance", str(path), "--alpha", "1/2")
+    _, single, _ = run(capsys, "audit", "--instance", str(path), "--alpha", "1/2")
     assert {**json.loads(single), "instance": str(path)} == report
 
 
