@@ -20,8 +20,6 @@ from .instance import (
     compute_R,
     instance_from_json,
     instance_to_json,
-    q_value,
-    reward_share,
 )
 from .matching import (
     Deviation,

@@ -18,6 +18,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .instance import (
+    ONE,
     ZERO,
     Edge,
     EqualSharing,
@@ -135,31 +136,21 @@ class ContributionGame:
     def all_equal_split(self) -> bool:
         return all(s == SPLIT_EQUAL for s in self.splits)
 
-    def _fraction_u(self, ei: int, x_u: Fraction, x_v: Fraction) -> Fraction:
-        """Endpoint u's fraction of the edge total under a matthew or proportional split."""
-        u, v = self.graph.edges[ei]
-        if self.splits[ei] == SPLIT_MATTHEW:
-            lu, lv = self.lam[u], self.lam[v]  # type: ignore[index]
-            return lu / (lu + lv)
-        if x_u + x_v == 0:
-            return ZERO
-        return x_u / (x_u + x_v)
-
-    def share(self, ei: int, endpoint: int, x_u: Fraction, x_v: Fraction) -> Fraction:
-        """Reward share of one endpoint given both contributions; shares sum to the total."""
-        total = self.functions[ei].total(x_u, x_v)
-        if self.splits[ei] == SPLIT_EQUAL:
-            return total / 2
-        frac = self._fraction_u(ei, x_u, x_v)
-        return frac * total if endpoint == self.graph.edges[ei][0] else (1 - frac) * total
-
     def endpoint_rewards(self, ei: int, x_u: Fraction, x_v: Fraction) -> tuple[Fraction, Fraction]:
         """Node-level rewards of both endpoints, in the same convention as the
-        matching side: equal splits pay the full edge reward to both endpoints."""
+        matching side: equal splits pay the full edge reward to both endpoints.
+        The other splits divide it, by lambda (matthew) or by contribution
+        (proportional)."""
         total = self.functions[ei].total(x_u, x_v)
-        if self.splits[ei] == SPLIT_EQUAL:
+        split = self.splits[ei]
+        if split == SPLIT_EQUAL:
             return total, total
-        r_u = self._fraction_u(ei, x_u, x_v) * total
+        if split == SPLIT_MATTHEW:
+            u, v = self.graph.edges[ei]
+            weight_u, weight = self.lam[u], self.lam[u] + self.lam[v]  # type: ignore[index]
+        else:
+            weight_u, weight = x_u, x_u + x_v
+        r_u = weight_u / weight * total if weight else ZERO
         return r_u, total - r_u
 
 
@@ -279,8 +270,8 @@ def corresponding_matching_game(game: ContributionGame) -> GameInstance:
     else:
         shares = []
         for ei, (u, v) in enumerate(game.graph.edges):
-            bu, bv = game.budgets[u], game.budgets[v]
-            shares.append((game.share(ei, u, bu, bv), game.share(ei, v, bu, bv)))
+            r_u, r_v = game.endpoint_rewards(ei, game.budgets[u], game.budgets[v])
+            shares.append((r_u / 2, r_v / 2) if game.splits[ei] == SPLIT_EQUAL else (r_u, r_v))
         sharing = ObliviousSharing(shares=tuple(shares))
 
     return GameInstance(
@@ -417,8 +408,7 @@ class _Checker:
             powers.append(None if f.family == FAMILY_MIN else f.k if f.family == FAMILY_POWPROD else 1)
             c_u = c_v = f.c
             if game.splits[ei] == SPLIT_MATTHEW:
-                c_u = f.c * game._fraction_u(ei, ZERO, ZERO)
-                c_v = f.c - c_u
+                c_u, c_v = game.endpoint_rewards(ei, ONE, ONE)  # every family pays c at (1, 1)
             elif game.splits[ei] == SPLIT_PROPORTIONAL and (total := self.alloc[u][ei] + self.alloc[v][ei]):
                 sums.append(total)
             coefficients.append((c_u, c_v))
@@ -444,14 +434,9 @@ class _Checker:
             self.edges.append((power, self._integral(c_u * per_degree), self._integral(c_v * per_degree), proportional))
 
         self.current: list[tuple[int, int]] = []  # rewards at the profile, in units of 1/reward_unit
-        # (edge, X_u, X_v) -> (reward change of u, of v, utility change of u,
-        # of v, positive denominator of all four)
-        self._gains: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
         for ei, (u, v) in enumerate(game.graph.edges):
-            x_u, x_v = self.alloc[u][ei], self.alloc[v][ei]
-            r_u, r_v, den = self._rewards(ei, x_u, x_v)
+            r_u, r_v, den = self._rewards(ei, self.alloc[u][ei], self.alloc[v][ei])
             self.current.append((self._integral(Fraction(r_u, den)), self._integral(Fraction(r_v, den))))
-            self._gains[(ei, x_u, x_v)] = (0, 0, 0, 0, 1)
 
     @staticmethod
     def _integral(x: Fraction) -> int:
@@ -482,15 +467,11 @@ class _Checker:
         """Reward changes of edge ei's endpoints at contributions (x_u, x_v),
         what they change in the endpoints' own utilities, and the positive
         denominator of all four."""
-        key = (ei, x_u, x_v)
-        gain = self._gains.get(key)
-        if gain is None:
-            r_u, r_v = self.current[ei]
-            new_u, new_v, den = self._rewards(ei, x_u, x_v)
-            d_u, d_v = new_u - r_u * den, new_v - r_v * den
-            a, w = self.alpha1, self.alpha_unit
-            gain = self._gains[key] = (d_u, d_v, w * d_u + a * d_v, w * d_v + a * d_u, den)
-        return gain
+        r_u, r_v = self.current[ei]
+        new_u, new_v, den = self._rewards(ei, x_u, x_v)
+        d_u, d_v = new_u - r_u * den, new_v - r_v * den
+        a, w = self.alpha1, self.alpha_unit
+        return d_u, d_v, w * d_u + a * d_v, w * d_v + a * d_u, den
 
     def _side(
         self, v: int, row: Sequence[int], skip: Optional[int], observers: tuple[int, ...]

@@ -344,14 +344,11 @@ class GameInstance:
 
     # -- small accessors ---------------------------------------------------
 
-    def edge_id(self, u: int, v: int) -> int:
+    def edge_reward(self, u: int, v: int) -> Fraction:
         try:
-            return self.graph.edge_index[normalize_edge(u, v)]
+            return self.rewards[self.graph.edge_index[normalize_edge(u, v)]]
         except KeyError:
             raise InstanceError(f"({u},{v}) is not an edge") from None
-
-    def edge_reward(self, u: int, v: int) -> Fraction:
-        return self.rewards[self.edge_id(u, v)]
 
 
 # -- the public operation surface ------------------------------------------
@@ -364,32 +361,6 @@ def perceive(rows: Sequence[dict[int, Fraction]], rewards: Sequence[Fraction]) -
     for v, row in enumerate(rows):
         out.append(rewards[v] + sum((a * rewards[u] for u, a in row.items()), ZERO))
     return tuple(out)
-
-
-def reward_share(instance: GameInstance, node: int, edge: Edge) -> Fraction:
-    """Reward the node gets from the edge when matched along it.
-
-    Equal sharing splits the reward in half; the unequal rules follow their
-    defining formulas.  The two shares of an edge always sum to its reward.
-    """
-    u, v = edge
-    i = instance.edge_id(u, v)
-    a, b = instance.graph.edges[i]
-    su, sv = instance.shares[i]
-    if node == a:
-        return su
-    if node == b:
-        return sv
-    raise InstanceError(f"node {node} is not incident to edge ({u},{v})")
-
-
-def q_value(instance: GameInstance, node: int, edge: Edge) -> Fraction:
-    """Effective stake of an endpoint under friendship: own share + alpha1 * partner share."""
-    u, v = edge
-    a1 = instance.friendship.alpha1
-    own = reward_share(instance, node, edge)
-    other = v if node == u else u
-    return own + a1 * reward_share(instance, other, edge)
 
 
 def compute_R(instance: GameInstance) -> Fraction:

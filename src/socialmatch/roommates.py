@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .instance import GameInstance, q_value, reward_share
+from .instance import GameInstance
 from .matching import Matching, is_stable
 from .oracle import DEFAULT_ENUM_LIMIT, enumerate_matchings
 from .rationals import rescale
@@ -37,12 +36,6 @@ def _column(mode: str) -> int:
     if mode == MODE_Q:
         return 0  # stake
     raise ValueError(f"unknown preference mode {mode!r}")
-
-
-def preference_key(instance: GameInstance, mode: str, x: int, y: int) -> Fraction:
-    """Key node x assigns to neighbor y (share or q-value of x on edge (x, y))."""
-    key = q_value if _column(mode) == 0 else reward_share
-    return key(instance, x, (x, y))
 
 
 def _key_table(instance: GameInstance, mode: str) -> tuple[dict[int, int], ...]:

@@ -17,6 +17,7 @@ from socialmatch.instance import (
     Graph,
     ObliviousSharing,
     build_distances,
+    normalize_edge,
 )
 from socialmatch.matching import (
     BISWIVEL,
@@ -29,7 +30,7 @@ from socialmatch.matching import (
     matching_value,
     node_reward,
 )
-from socialmatch.roommates import preference_key
+from socialmatch.roommates import MODE_Q, MODE_RAW
 
 PATH3 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
@@ -55,6 +56,19 @@ def oblivious_instance(graph: Graph, shares, alpha=()) -> GameInstance:
         sharing=ObliviousSharing(shares=tuple((F(a), F(b)) for a, b in ordered)),
         friendship=FriendshipVector(tuple(F(a) for a in alpha)),
     )
+
+
+def exact_key(instance: GameInstance, mode: str, x: int, y: int) -> F:
+    """The exact preference key x assigns to neighbour y, from ``shares``:
+    x's share of the edge (raw), or its q-value, that share plus alpha1
+    times y's (q).  The library ranks by ``oriented_edges`` instead."""
+    i = instance.graph.edge_index[normalize_edge(x, y)]
+    s_lo, s_hi = instance.shares[i]
+    own, other = (s_lo, s_hi) if x < y else (s_hi, s_lo)
+    if mode == MODE_RAW:
+        return own
+    assert mode == MODE_Q, mode
+    return own + instance.friendship.alpha1 * other
 
 
 @lru_cache(maxsize=64)
@@ -136,13 +150,13 @@ def bfs_preference_cycle(instance: GameInstance, mode: str) -> Optional[tuple[in
 
     Same digraph of oriented edges, same strict-arc order and same BFS, so
     the first strict arc that closes a cycle gives the same witness; each
-    key is read once through ``preference_key``, which computes the exact
-    share or q-value, where the detector reads the rescaled integer table.
+    key is read once through ``exact_key``, which computes the exact share
+    or q-value, where the detector reads the rescaled integer table.
     """
     graph = instance.graph
     states = sorted([(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges])
     index = {s: i for i, s in enumerate(states)}
-    key = {(x, y): preference_key(instance, mode, x, y) for x, y in states}
+    key = {(x, y): exact_key(instance, mode, x, y) for x, y in states}
     succ: list[list[int]] = [[] for _ in states]
     strict_arcs: list[tuple[int, int]] = []
     for si, (a, b) in enumerate(states):

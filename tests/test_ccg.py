@@ -32,6 +32,7 @@ from socialmatch.instance import (
     Graph,
     InstanceError,
     MatthewSharing,
+    ObliviousSharing,
 )
 from socialmatch.matching import Matching, is_stable, matching_value
 from socialmatch.oracle import enumerate_stable_matchings, max_weight_matching
@@ -106,30 +107,33 @@ def test_corresponding_rejects_zero_reward_edges():
 
 
 def test_share_functions_sum_to_total():
+    # Equal splits pay both endpoints the total; the other splits divide it.
     for split in ("equal", "matthew", "proportional"):
         game = gen_random_ccg(seed=11, n=6, density=0.6, split=split, alpha=(F(1, 2),))
         for ei in range(len(game.graph.edges)):
-            u, v = game.graph.edges[ei]
             for x, y in ((F(1), F(2)), (F(1, 3), F(0)), (F(0), F(0)), (F(2), F(2))):
-                su = game.share(ei, u, x, y)
-                sv = game.share(ei, v, x, y)
-                assert su + sv == game.functions[ei].total(x, y)
+                total = game.functions[ei].total(x, y)
+                r_u, r_v = game.endpoint_rewards(ei, x, y)
+                if split == "equal":
+                    assert (r_u, r_v) == (total, total)
+                else:
+                    assert r_u + r_v == total
 
 
 def test_stake_identity_pointwise():
     # The friendship-weighted stakes of the two endpoints always sum to
-    # (1 + alpha1) times the total edge reward, at every contribution pair.
+    # (1 + alpha1) times the sum of their rewards, at every contribution
+    # pair: twice the total under equal splits, the total otherwise.
     for split in ("equal", "matthew", "proportional"):
         game = gen_random_ccg(seed=7, n=6, density=0.6, split=split, alpha=(F(1, 2),))
         a1 = game.friendship.alpha1
+        paid = 2 if split == "equal" else 1
         for ei in range(len(game.graph.edges)):
-            u, v = game.graph.edges[ei]
             for x, y in ((F(1), F(2)), (F(1, 2), F(3)), (F(2), F(2))):
-                fu = game.share(ei, u, x, y)
-                fv = game.share(ei, v, x, y)
-                gu = fu + a1 * fv
-                gv = fv + a1 * fu
-                assert gu + gv == (1 + a1) * (fu + fv)
+                r_u, r_v = game.endpoint_rewards(ei, x, y)
+                gu = r_u + a1 * r_v
+                gv = r_v + a1 * r_u
+                assert gu + gv == (1 + a1) * paid * game.functions[ei].total(x, y)
 
 
 def test_matching_to_equilibrium_single_edge():
@@ -468,6 +472,25 @@ def test_checker_deltas_on_mixed_game():
                 assert checker.utility_changes(deltas) == tuple(after[v] - before[v] for v in nodes), (mode, kind, nodes)
                 kinds.add(kind)
     assert kinds == {"unilateral", "bilateral", "pair-split"}
+
+
+def test_corresponding_mixed_splits_are_oblivious_shares():
+    # Mixed splits give fixed shares of the full-budget reward: half each on
+    # equal edges, lambda_u : lambda_v on matthew edges, b_u : b_v on
+    # proportional edges.
+    game = mixed_game()
+    inst = corresponding_matching_game(game)
+    assert isinstance(inst.sharing, ObliviousSharing)
+    b, lam = game.budgets, game.lam
+    expected = []
+    for ei, (u, v) in enumerate(game.graph.edges):
+        r = game.functions[ei].total(b[u], b[v])
+        weight_u, weight_v = {"equal": (1, 1), "matthew": (lam[u], lam[v]), "proportional": (b[u], b[v])}[game.splits[ei]]
+        expected.append((weight_u * r / (weight_u + weight_v), weight_v * r / (weight_u + weight_v)))
+    assert inst.shares == tuple(expected)
+    assert inst.shares[0] == (F(9, 2), F(9, 2))  # product 3/2 * 2 * 3, halved
+    assert inst.shares[2] == (F(6, 5), F(9, 5))  # powprod 1/3 * (3 * 1)**2, lambda 2 : 3
+    assert inst.shares[3] == (F(5, 3), F(10, 3))  # product 5/2 * 1 * 2, budgets 1 : 2
 
 
 def test_ccg_audit_single_edge():

@@ -16,7 +16,6 @@ from socialmatch.oracle import (
     enumerate_stable_matchings,
     max_weight_matching,
 )
-from socialmatch.roommates import MODE_Q, preference_key
 from socialmatch.generators import (
     NONEXISTENCE_ALPHA1,
     augment_with_auxiliary_neighbors,
@@ -94,10 +93,11 @@ def test_nonexistence_fixture_properties():
     assert enumerate_stable_matchings(inst) == ()
     base = gen_nonexistence_friendship_matthew(with_friendship=False)
     assert enumerate_stable_matchings(base) != ()
-    # Strict rotational q-preference around the 5-cycle.
+    # Strict rotational q-preference around the 5-cycle: each stake, the
+    # q-value under brand-value sharing, is higher forward than backward.
     for i in range(5):
         nxt, prv = (i + 1) % 5, (i - 1) % 5
-        assert preference_key(inst, MODE_Q, i, nxt) > preference_key(inst, MODE_Q, i, prv)
+        assert inst.oriented_edges[i][nxt][0] > inst.oriented_edges[i][prv][0]
 
 
 def test_cyclic_triangle_empty_stable_set():

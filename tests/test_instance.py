@@ -19,8 +19,6 @@ from socialmatch.instance import (
     compute_R,
     instance_from_json,
     instance_to_json,
-    q_value,
-    reward_share,
 )
 from helpers import ALPHA_SAMPLES, PATH3, dense_perceived, oblivious_instance, path3_equal
 from socialmatch.ccg import ContributionGame, RewardFunction, StrategyProfile, node_rewards, perceived_utilities
@@ -151,8 +149,7 @@ def test_reward_share_matthew_symmetric():
     inst = GameInstance(
         Graph(2, ((0, 1),)), (F(2),), MatthewSharing(lam=(F(1), F(1))), FriendshipVector()
     )
-    assert reward_share(inst, 0, (0, 1)) == 1
-    assert reward_share(inst, 1, (0, 1)) == 1
+    assert inst.shares[0] == (1, 1)
 
 
 def test_reward_share_matthew_tight_gadget():
@@ -164,8 +161,7 @@ def test_reward_share_matthew_tight_gadget():
             MatthewSharing(lam=(F(1), F(R))),
             FriendshipVector(),
         )
-        assert reward_share(inst, 0, (0, 1)) == 1
-        assert reward_share(inst, 1, (0, 1)) == R
+        assert inst.shares[0] == (1, R)
 
 
 def test_reward_share_trust():
@@ -176,14 +172,14 @@ def test_reward_share_trust():
         FriendshipVector(),
     )
     # Share of node 0 is h + beta of the partner.
-    assert reward_share(inst, 0, (0, 1)) == F(5)
-    assert reward_share(inst, 1, (0, 1)) == F(3)
+    assert inst.shares[0] == (F(5), F(3))
 
 
-def test_reward_share_requires_incident_node():
-    inst = path3_equal()
-    with pytest.raises(InstanceError):
-        reward_share(inst, 3, (0, 1))
+def test_edge_reward_rejects_non_edge():
+    inst = path3_equal((1, 2, 3))
+    assert inst.edge_reward(2, 1) == 2
+    with pytest.raises(InstanceError, match=r"\(0,2\) is not an edge"):
+        inst.edge_reward(0, 2)
 
 
 def test_compute_R_equal_is_one():
@@ -218,9 +214,10 @@ def test_compute_Q_cases():
 
 def test_q_value_equal():
     inst = path3_equal((1, 2, 1), alpha=(F(1, 2),))
-    # Middle edge reward 2: share 1 each, q = 1 + 1/2.
-    assert q_value(inst, 1, (1, 2)) == F(3, 2)
-    assert q_value(inst, 2, (1, 2)) == F(3, 2)
+    # Middle edge reward 2: share 1 each, q = 1 + 1/2.  Equal sharing pays
+    # both endpoints the full reward, so each stake is twice the q-value.
+    assert inst.oriented_edges[1][2][0] == 2 * F(3, 2)
+    assert inst.oriented_edges[2][1][0] == 2 * F(3, 2)
 
 
 def test_q_value_friendship_rs_shares():
@@ -229,14 +226,14 @@ def test_q_value_friendship_rs_shares():
         inst = oblivious_instance(
             Graph(2, ((0, 1),)), {(0, 1): (1 / denom, R / denom)}, alpha=(a1,)
         )
-        assert q_value(inst, 0, (0, 1)) == 1
-        assert q_value(inst, 1, (0, 1)) == (R + a1) / (1 + a1 * R)
+        assert inst.oriented_edges[0][1][0] == 1
+        assert inst.oriented_edges[1][0][0] == (R + a1) / (1 + a1 * R)
 
 
 def test_q_value_no_friendship_is_share():
     inst = oblivious_instance(Graph(2, ((0, 1),)), {(0, 1): (3, 2)})
-    assert q_value(inst, 0, (0, 1)) == 3
-    assert q_value(inst, 1, (0, 1)) == 2
+    assert inst.oriented_edges[0][1][0] == 3
+    assert inst.oriented_edges[1][0][0] == 2
 
 
 @pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
@@ -245,11 +242,13 @@ def test_share_sum_and_q_identity(rule, alpha):
     for seed in range(8):
         inst = gen_random(seed=seed, n=7, density=0.5, rule=rule, alpha=alpha)
         a1 = inst.friendship.alpha1
+        stake_per_q = 2 if rule == "equal" else 1  # equal sharing pays both ends the full reward
         for i, (u, v) in enumerate(inst.graph.edges):
-            su = reward_share(inst, u, (u, v))
-            sv = reward_share(inst, v, (u, v))
+            su, sv = inst.shares[i]
             assert su + sv == inst.rewards[i]
-            assert q_value(inst, u, (u, v)) + q_value(inst, v, (u, v)) == (1 + a1) * inst.rewards[i]
+            qu, qv = inst.oriented_edges[u][v][0], inst.oriented_edges[v][u][0]
+            assert (qu, qv) == (stake_per_q * (su + a1 * sv), stake_per_q * (sv + a1 * su))
+            assert qu + qv == stake_per_q * (1 + a1) * inst.rewards[i]
 
 
 @pytest.mark.parametrize("alpha", ALPHA_SAMPLES)
@@ -263,8 +262,7 @@ def test_Q_dominates_q_ratios(alpha):
             continue
         attained = F(0)
         for u, v in inst.graph.edges:
-            qu = q_value(inst, u, (u, v))
-            qv = q_value(inst, v, (u, v))
+            qu, qv = inst.oriented_edges[u][v][0], inst.oriented_edges[v][u][0]
             if qu > 0 and qv > 0:
                 attained = max(attained, qu / qv, qv / qu)
         assert attained <= q_param
@@ -303,8 +301,7 @@ def test_json_parses_decimal_and_fraction_strings():
     inst = instance_from_json(json.dumps(doc))
     assert inst.rewards == (F(1, 4),)
     # "u" share belongs to node 1 as written, flipped into canonical order.
-    assert reward_share(inst, 1, (0, 1)) == F(1, 5)
-    assert reward_share(inst, 0, (0, 1)) == F(1, 20)
+    assert inst.shares[0] == (F(1, 20), F(1, 5))
     assert inst.friendship.alpha1 == F(1, 2)
 
 
@@ -355,8 +352,8 @@ def test_friendship_vector_accepts_any_sorted_tail(values):
 @settings(max_examples=120, deadline=None)
 def test_single_edge_share_and_q_identities(r, t, a1):
     inst = oblivious_instance(Graph(2, ((0, 1),)), {(0, 1): (t * r, (1 - t) * r)}, alpha=(a1,))
-    assert reward_share(inst, 0, (0, 1)) + reward_share(inst, 1, (0, 1)) == r
-    assert q_value(inst, 0, (0, 1)) + q_value(inst, 1, (0, 1)) == (1 + a1) * r
-    q0, q1 = q_value(inst, 0, (0, 1)), q_value(inst, 1, (0, 1))
+    assert sum(inst.shares[0]) == r
+    q0, q1 = inst.oriented_edges[0][1][0], inst.oriented_edges[1][0][0]
+    assert q0 + q1 == (1 + a1) * r
     if q0 > 0 and q1 > 0:
         assert max(q0 / q1, q1 / q0) <= compute_Q(inst)

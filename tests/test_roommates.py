@@ -12,12 +12,11 @@ from socialmatch.roommates import (
     detect_preference_cycle,
     greedy_mutual_best,
     is_stable_srp,
-    preference_key,
     _key_table,
     preference_profile,
     solve_srp_q,
 )
-from helpers import ALPHA_SAMPLES, PATH3, bfs_preference_cycle, equal_instance, oblivious_instance
+from helpers import ALPHA_SAMPLES, PATH3, bfs_preference_cycle, equal_instance, exact_key, oblivious_instance
 from socialmatch.generators import (
     gen_cyclic_triangle,
     gen_matthew_poa_tight,
@@ -31,8 +30,8 @@ def staircase_holds(instance, mode, nodes):
     strict = False
     for i in range(k):
         cur, nxt, prv = nodes[i], nodes[(i + 1) % k], nodes[(i - 1) % k]
-        fwd = preference_key(instance, mode, cur, nxt)
-        back = preference_key(instance, mode, cur, prv)
+        fwd = exact_key(instance, mode, cur, nxt)
+        back = exact_key(instance, mode, cur, prv)
         if fwd < back:
             return False
         if fwd > back:
@@ -91,7 +90,7 @@ def _cmp(a, b) -> int:
 
 @pytest.mark.parametrize("rule", RULES)
 def test_key_table_ranks_as_preference_key(rule):
-    # _key_table reads oriented_edges, preference_key reads the shares.  At
+    # _key_table reads oriented_edges, exact_key reads the shares.  At
     # every node the two must give the same strict order, the same ties and
     # the same sign against 0; zero shares put keys on 0 itself.
     zero_shares = {(0, 1): (0, 2), (1, 2): (1, 1), (2, 3): (3, 0)}
@@ -102,7 +101,7 @@ def test_key_table_ranks_as_preference_key(rule):
             for inst in instances:
                 table = _key_table(inst, mode)
                 for x, row in enumerate(table):
-                    exact = {y: preference_key(inst, mode, x, y) for y in inst.graph.adjacency[x]}
+                    exact = {y: exact_key(inst, mode, x, y) for y in inst.graph.adjacency[x]}
                     assert list(row) == list(exact)
                     for y, key in exact.items():
                         assert _cmp(row[y], 0) == _cmp(key, 0)
@@ -141,8 +140,8 @@ def test_preference_profile_ordering():
     for v, lst in enumerate(prof.lists):
         assert sorted(lst) == sorted(inst.graph.adjacency[v])
         for a, b in zip(lst, lst[1:]):
-            ka = preference_key(inst, MODE_RAW, v, a)
-            kb = preference_key(inst, MODE_RAW, v, b)
+            ka = exact_key(inst, MODE_RAW, v, a)
+            kb = exact_key(inst, MODE_RAW, v, b)
             assert ka > kb or (ka == kb and a < b)
 
 
@@ -215,7 +214,7 @@ def test_matthew_q_keys_formula():
     a1 = inst.friendship.alpha1
     for u, v in inst.graph.edges:
         expected = (lam[u] + a1 * lam[v]) / (lam[u] + lam[v]) * inst.edge_reward(u, v)
-        assert preference_key(inst, MODE_Q, u, v) == expected
+        assert inst.oriented_edges[u][v][0] == expected  # the stake is the q-value off equal sharing
 
 
 def test_solve_srp_q_nonexistence_fixture():
