@@ -101,34 +101,7 @@ def _caps(args) -> tuple[int, int]:
 
 
 def cmd_gen(args) -> int:
-    name = args.gadget
-    if name == "path3":
-        instance = generators.gen_path3_equal(alpha=_alpha_list(args.alpha))
-    elif name == "pos-tight":
-        instance = generators.gen_pos_tight(rat(args.alpha1), rat(args.eps))
-    elif name == "matthew-poa":
-        instance = generators.gen_matthew_poa_tight(rat(args.R), args.variant == "pos", rat(args.eps))
-    elif name == "friendship-rs":
-        instance = generators.gen_friendship_rs_tight(rat(args.R), rat(args.alpha1), args.variant, rat(args.eps))
-    elif name == "nonexistence":
-        instance = generators.gen_nonexistence_friendship_matthew()
-    elif name == "cyclic-triangle":
-        instance = generators.gen_cyclic_triangle()
-    elif name == "random":
-        instance = generators.gen_random(
-            seed=args.seed,
-            n=args.n,
-            density=args.density,
-            rule=args.rule,
-            alpha=_alpha_list(args.alpha),
-        )
-    elif name == "aux-augment":
-        base = instance_from_json(_read(args.instance))
-        instance = generators.augment_with_auxiliary_neighbors(base, rat(args.eps))
-    else:
-        print(f"unknown gadget {name!r}", file=sys.stderr)
-        return EXIT_ERROR
-    text = instance_to_json(instance)
+    text = instance_to_json(args.build(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -142,7 +115,50 @@ def _alpha_list(text: Optional[str]) -> tuple:
     return () if fv is None else fv.alpha
 
 
+# Per gadget: the flags it reads, and how it builds its instance from them.
+GADGETS = {
+    "path3": (("--alpha",), lambda a: generators.gen_path3_equal(alpha=_alpha_list(a.alpha))),
+    "pos-tight": (("--alpha1", "--eps"), lambda a: generators.gen_pos_tight(rat(a.alpha1), rat(a.eps))),
+    "matthew-poa": (
+        ("--R", "--variant", "--eps"),
+        lambda a: generators.gen_matthew_poa_tight(rat(a.R), a.variant == "pos", rat(a.eps)),
+    ),
+    "friendship-rs": (
+        ("--R", "--alpha1", "--variant", "--eps"),
+        lambda a: generators.gen_friendship_rs_tight(rat(a.R), rat(a.alpha1), a.variant, rat(a.eps)),
+    ),
+    "nonexistence": ((), lambda a: generators.gen_nonexistence_friendship_matthew()),
+    "cyclic-triangle": ((), lambda a: generators.gen_cyclic_triangle()),
+    "random": (
+        ("--seed", "--n", "--density", "--rule", "--alpha"),
+        lambda a: generators.gen_random(
+            seed=a.seed, n=a.n, density=a.density, rule=a.rule, alpha=_alpha_list(a.alpha)
+        ),
+    ),
+    "aux-augment": (
+        ("--instance", "--eps"),
+        lambda a: generators.augment_with_auxiliary_neighbors(instance_from_json(_read(a.instance)), rat(a.eps)),
+    ),
+}
+
+GADGET_FLAGS = {
+    "--alpha": dict(help="friendship vector, e.g. '1/2,1/4'"),
+    "--alpha1": dict(default="1/2"),
+    "--eps": dict(default="1/10"),
+    "--R": dict(default="2"),
+    "--variant": dict(choices=("poa", "pos"), default="poa"),
+    "--seed": dict(type=int, default=0),
+    "--n": dict(type=int, default=6),
+    "--density": dict(type=float, default=0.5),
+    "--rule": dict(default="equal", choices=("equal", "matthew", "parasite", "trust", "oblivious")),
+    "--instance": dict(required=True, help="base instance JSON path"),
+}
+
+
 def cmd_solve(args) -> int:
+    if args.prefs is not None and args.method != "greedy":
+        print(f"--prefs applies only to --method greedy, not {args.method}", file=sys.stderr)
+        return EXIT_ERROR
     instance = _load_instance(args, args.instance)
     enum_max_n, exact_max_n = _caps(args)
     report: dict = {"method": args.method}
@@ -191,9 +207,6 @@ def cmd_audit(args) -> int:
                 worst = EXIT_NEGATIVE
         _emit({"reports": reports}, args.format)
         return worst
-    if not args.instance:
-        print("audit needs --instance or --manifest", file=sys.stderr)
-        return EXIT_ERROR
     instance = _load_instance(args, args.instance)
     report = audit_bounds(instance, max_n=enum_max_n, exact_max_n=exact_max_n)
     _emit(report.to_dict(), args.format)
@@ -236,6 +249,9 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_ccg(args) -> int:
+    if args.profile and args.max_n is not None:
+        print("--max-n does not apply to --profile, which enumerates nothing", file=sys.stderr)
+        return EXIT_ERROR
     game = ccg_from_json(_read(args.game))
     report: dict = {"mode": game.mode}
     if args.profile:
@@ -269,7 +285,8 @@ def cmd_ccg(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.matching:
+    given = {name for name in ("instance", "matching", "game", "profile") if getattr(args, name) is not None}
+    if given == {"instance", "matching"}:
         instance = _load_instance(args, args.instance)
         matched = Matching.from_dict(json.loads(_read(args.matching)), instance.graph.n)
         verdict = is_stable(instance, matched)
@@ -280,7 +297,7 @@ def cmd_check(args) -> int:
         }
         _emit(doc, args.format)
         return EXIT_OK if verdict.stable else EXIT_NEGATIVE
-    if args.game and args.profile:
+    if given == {"game", "profile"}:
         game = _with_alpha(args, ccg_from_json(_read(args.game)))
         profile = StrategyProfile.from_dict(json.loads(_read(args.profile)), game)
         verdict = is_pairwise_equilibrium(game, profile, grid_k=args.grid_k)
@@ -310,34 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
         max_n(p)
         p.add_argument("--format", choices=("json", "table"), default="json")
 
+    # Only the chosen gadget's parser is built, in main: every call builds
+    # this parser, and eight gadget parsers would cost more than the rest.
     p = sub.add_parser("gen", help="generate a benchmark instance")
-    p.add_argument("gadget", choices=(
-        "path3", "pos-tight", "matthew-poa", "friendship-rs", "nonexistence",
-        "cyclic-triangle", "random", "aux-augment"))
-    p.add_argument("--alpha", help="friendship vector, e.g. '1/2,1/4'")
-    p.add_argument("--alpha1", default="1/2")
-    p.add_argument("--eps", default="1/10")
-    p.add_argument("--R", default="2")
-    p.add_argument("--variant", choices=("poa", "pos"), default="poa")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--rule", default="equal",
-                   choices=("equal", "matthew", "parasite", "trust", "oblivious"))
-    p.add_argument("--instance", help="base instance (aux-augment)")
-    p.add_argument("--out", help="write to file instead of stdout")
-    p.set_defaults(func=cmd_gen)
+    p.add_argument("gadget", choices=GADGETS)
+    p.add_argument("flags", nargs=argparse.REMAINDER, help="the gadget's flags; see gen GADGET --help")
 
     p = sub.add_parser("solve", help="compute a stable matching")
     common(p)
     p.add_argument("--method", choices=("brbp", "greedy", "srpq"), default="brbp")
-    p.add_argument("--prefs", choices=("raw", "q"), default="raw")
+    p.add_argument("--prefs", choices=("raw", "q"), help="greedy's keys (default: raw); not with brbp or srpq")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("audit", help="enumerate the stable set and check bounds")
     common(p, instance_required=False)
-    p.add_argument("--instance", help="instance JSON path")
-    p.add_argument("--manifest", help="JSON array of instance paths to audit in order")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", help="instance JSON path")
+    source.add_argument("--manifest", help="JSON array of instance paths to audit in order")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("dynamics", help="run improvement dynamics, stream the trace")
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ccg", help="contribution-game equilibria and audits")
     p.add_argument("--game", required=True, help="contribution game JSON path")
-    p.add_argument("--profile", help="check this profile instead of constructing one")
+    p.add_argument("--profile", help="check this profile instead of constructing one; not with --max-n")
     p.add_argument("--grid-k", type=int, default=DEFAULT_GRID_K, dest="grid_k")
     max_n(p)
     p.add_argument("--format", choices=("json", "table"), default="json")
@@ -369,10 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def gadget_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of ``gen <name>``: it accepts only the flags the gadget reads, and ``--out``."""
+    flags, build = GADGETS[name]
+    # No abbreviations: --alpha must not pass for --alpha1.
+    p = argparse.ArgumentParser(prog=f"socialmatch gen {name}", allow_abbrev=False)
+    for flag in flags:
+        p.add_argument(flag, **GADGET_FLAGS[flag])
+    p.add_argument("--out", help="write to file instead of stdout")
+    p.set_defaults(func=cmd_gen, build=build)
+    return p
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "gen":
+            args = gadget_parser(args.gadget).parse_args(args.flags)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

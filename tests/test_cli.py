@@ -526,3 +526,111 @@ def test_dynamics_seed_only_with_arbitrary(tmp_path, capsys):
     # Without --seed, arbitrary dynamics use seed 0.
     argv = ("dynamics", "--instance", str(path), "--method", "arbitrary", "--start", "empty")
     assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
+
+
+@pytest.mark.parametrize(
+    "gadget,flag,value",
+    [
+        ("path3", "--rule", "trust"),
+        ("pos-tight", "--seed", "9"),
+        ("pos-tight", "--alpha", "1/4"),
+        ("matthew-poa", "--alpha1", "1/4"),
+        ("friendship-rs", "--alpha", "1/4"),
+        ("random", "--eps", "1/5"),
+        ("aux-augment", "--alpha", "1/2"),
+        ("nonexistence", "--R", "3"),
+        ("cyclic-triangle", "--n", "5"),
+    ],
+)
+def test_gen_rejects_flags_its_gadget_does_not_read(tmp_path, capsys, gadget, flag, value):
+    # --alpha is not taken as an abbreviation of --alpha1 either.
+    base = tmp_path / "base.json"
+    run(capsys, "gen", "path3", "--out", str(base))
+    required = ["--instance", str(base)] if gadget == "aux-augment" else []
+    code, out, err = run(capsys, "gen", gadget, *required, flag, value)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_gen_accepts_every_flag_its_gadget_reads(tmp_path, capsys):
+    # Each flag at its default value gives the same bytes as leaving it out.
+    base = tmp_path / "base.json"
+    run(capsys, "gen", "path3", "--out", str(base))
+    defaults = {
+        "--alpha": "", "--alpha1": "1/2", "--eps": "1/10", "--R": "2", "--variant": "poa",
+        "--seed": "0", "--n": "6", "--density": "0.5", "--rule": "equal",
+    }
+    reads = {
+        "path3": ["--alpha"],
+        "pos-tight": ["--alpha1", "--eps"],
+        "matthew-poa": ["--R", "--variant", "--eps"],
+        "friendship-rs": ["--R", "--alpha1", "--variant", "--eps"],
+        "nonexistence": [],
+        "cyclic-triangle": [],
+        "random": ["--seed", "--n", "--density", "--rule", "--alpha"],
+        "aux-augment": ["--eps"],
+    }
+    for gadget, flags in reads.items():
+        required = ["--instance", str(base)] if gadget == "aux-augment" else []
+        plain = run(capsys, "gen", gadget, *required)
+        assert plain[0] == 0 and plain[2] == ""
+        explicit = [arg for flag in flags for arg in (flag, defaults[flag])]
+        assert run(capsys, "gen", gadget, *required, *explicit) == plain, gadget
+
+
+def test_gen_aux_augment_requires_instance(capsys):
+    code, out, err = run(capsys, "gen", "aux-augment")
+    assert (code, out) == (1, "")
+    assert "the following arguments are required: --instance" in err
+
+
+def test_audit_rejects_instance_with_manifest(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--out", str(path))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([str(path)]))
+    code, out, err = run(capsys, "audit", "--manifest", str(manifest), "--instance", str(path))
+    assert (code, out) == (1, "")
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize(
+    "given",
+    [("matching",), ("instance", "matching", "game", "profile"), ("instance", "game", "profile"), ("game",)],
+    ids=["matching-alone", "both-pairs", "instance-with-game", "game-alone"],
+)
+def test_check_needs_exactly_one_pair(tmp_path, capsys, given):
+    ipath = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--out", str(ipath))
+    mpath = tmp_path / "matching.json"
+    mpath.write_text(json.dumps({"pairs": []}))
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps({"alloc": []}))
+    paths = {
+        "instance": ipath, "matching": mpath, "game": GOLDEN / "ccg-atmost-equal.game.json", "profile": ppath,
+    }
+    argv = [arg for name in given for arg in (f"--{name}", str(paths[name]))]
+    assert run(capsys, "check", *argv) == (
+        1, "", "check needs --instance with --matching, or --game with --profile\n"
+    )
+
+
+def test_solve_prefs_only_with_greedy(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--alpha", "1/2", "--out", str(path))
+    for method in ("brbp", "srpq"):
+        code, out, err = run(capsys, "solve", "--instance", str(path), "--method", method, "--prefs", "q")
+        assert (code, out) == (1, "")
+        assert err == f"--prefs applies only to --method greedy, not {method}\n"
+    # Without --prefs, greedy ranks by raw keys.
+    argv = ("solve", "--instance", str(path), "--method", "greedy")
+    assert run(capsys, *argv) == run(capsys, *argv, "--prefs", "raw")
+
+
+def test_ccg_profile_rejects_max_n(tmp_path, capsys):
+    gpath = GOLDEN / "ccg-atmost-equal.game.json"
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps({"alloc": []}))
+    code, out, err = run(capsys, "ccg", "--game", str(gpath), "--profile", str(ppath), "--max-n", "1")
+    assert (code, out) == (1, "")
+    assert err == "--max-n does not apply to --profile, which enumerates nothing\n"
