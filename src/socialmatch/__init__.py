@@ -14,7 +14,6 @@ from .instance import (
     SharingRule,
     TrustSharing,
     UndefinedRatioError,
-    build_distances,
     compute_Q,
     compute_Q_prime,
     compute_R,

@@ -159,6 +159,9 @@ def cmd_solve(args) -> int:
     if args.prefs is not None and args.method != "greedy":
         print(f"--prefs applies only to --method greedy, not {args.method}", file=sys.stderr)
         return EXIT_ERROR
+    if args.method == "greedy" and args.max_n is not None:
+        print("--max-n does not apply to --method greedy, which has no size cap", file=sys.stderr)
+        return EXIT_ERROR
     instance = _load_instance(args, args.instance)
     enum_max_n, exact_max_n = _caps(args)
     report: dict = {"method": args.method}
@@ -220,6 +223,9 @@ def cmd_audit(args) -> int:
 def cmd_dynamics(args) -> int:
     if args.seed is not None and args.method != "arbitrary":
         print(f"--seed applies only to --method arbitrary, not {args.method}", file=sys.stderr)
+        return EXIT_ERROR
+    if args.method != "brbp" and args.start not in (None, "opt") and args.max_n is not None:
+        print("--max-n applies only to --start opt, which computes the exact optimum", file=sys.stderr)
         return EXIT_ERROR
     instance = _load_instance(args, args.instance)
     _, exact_max_n = _caps(args)
@@ -287,6 +293,9 @@ def cmd_ccg(args) -> int:
 def cmd_check(args) -> int:
     given = {name for name in ("instance", "matching", "game", "profile") if getattr(args, name) is not None}
     if given == {"instance", "matching"}:
+        if args.grid_k is not None:
+            print("--grid-k applies only to --game with --profile", file=sys.stderr)
+            return EXIT_ERROR
         instance = _load_instance(args, args.instance)
         matched = Matching.from_dict(json.loads(_read(args.matching)), instance.graph.n)
         verdict = is_stable(instance, matched)
@@ -300,7 +309,8 @@ def cmd_check(args) -> int:
     if given == {"game", "profile"}:
         game = _with_alpha(args, ccg_from_json(_read(args.game)))
         profile = StrategyProfile.from_dict(json.loads(_read(args.profile)), game)
-        verdict = is_pairwise_equilibrium(game, profile, grid_k=args.grid_k)
+        grid_k = DEFAULT_GRID_K if args.grid_k is None else args.grid_k
+        verdict = is_pairwise_equilibrium(game, profile, grid_k=grid_k)
         _emit(verdict.to_dict(game), args.format)
         return EXIT_OK if verdict.is_equilibrium else EXIT_NEGATIVE
     print("check needs --instance with --matching, or --game with --profile", file=sys.stderr)
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", help="contribution game JSON path")
     p.add_argument("--profile", help="profile JSON path")
     p.add_argument("--alpha", help="override friendship vector")
-    p.add_argument("--grid-k", type=int, default=DEFAULT_GRID_K, dest="grid_k")
+    p.add_argument("--grid-k", type=int, dest="grid_k", help=f"only with --game (default: {DEFAULT_GRID_K})")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_check)
 

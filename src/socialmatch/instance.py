@@ -2,31 +2,28 @@
 
 A :class:`GameInstance` bundles the graph topology, per-edge rewards, the
 reward-sharing rule, and the friendship vector, together with derived
-quantities (shares, sparse friendship rows, the share-ratio parameter R and
-the stake-ratio parameter Q).  All arithmetic is exact rational arithmetic:
-stability is defined by strict inequalities, and floating point would make
-blocking-pair verdicts nondeterministic.
+quantities (shares, sparse friendship rows, the verdict terms, the
+share-ratio parameter R and the stake-ratio parameter Q).  All arithmetic
+is exact, on rationals or on integers rescaled from them by one positive
+factor: stability is defined by strict inequalities, and floating point
+would make blocking-pair verdicts nondeterministic.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .rationals import rat, rat_str
+from .rationals import InstanceError, rat, rat_str, rescale
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Edge = tuple[int, int]
-
-
-class InstanceError(ValueError):
-    """Raised when an instance violates a structural invariant."""
 
 
 class UndefinedRatioError(ValueError):
@@ -95,27 +92,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_index
-
-
-def build_distances(graph: Graph) -> tuple[tuple[Optional[int], ...], ...]:
-    """All-pairs unweighted shortest hop distances (BFS from each node).
-
-    Disconnected pairs get ``None``.  The library weighs friendship only
-    through ``FriendshipVector.rows``; this is the tests' dense reference.
-    """
-    out = []
-    for src in range(graph.n):
-        dist: list[Optional[int]] = [None] * graph.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for y in graph.adjacency[x]:
-                if dist[y] is None:
-                    dist[y] = dist[x] + 1  # type: ignore[operator]
-                    queue.append(y)
-        out.append(tuple(dist))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -307,30 +283,57 @@ class GameInstance:
                 out.append((s.h[i] + s.beta[v], s.h[i] + s.beta[u]))
         return tuple(out)
 
+    def _endpoint_rewards(self) -> Sequence[tuple[Fraction, Fraction]]:
+        """Per edge (u, v) with u < v: what u and v collect when it is matched.
+
+        That is their share, except under equal sharing, where both matched
+        players enjoy the full edge reward r_e.  The two conventions differ
+        by a uniform factor of two for equal sharing, so all
+        strict-inequality verdicts agree either way.
+        """
+        if isinstance(self.sharing, EqualSharing):
+            return [(r, r) for r in self.rewards]
+        return self.shares
+
     @cached_property
     def oriented_edges(self) -> tuple[dict[int, tuple[Fraction, Fraction, Fraction]], ...]:
         """Per node x, per neighbour y: (stake of x, endpoint reward of x, endpoint reward of y) on xy.
 
-        An endpoint reward is what the endpoint collects when the edge is
-        matched: its share, except under equal sharing, where both matched
-        players enjoy the full edge reward r_e.  The two conventions differ
-        by a uniform factor of two for equal sharing, so all
-        strict-inequality verdicts agree either way.  The stake of x is its
-        endpoint reward plus alpha1 times y's: the quantity x weighs when
-        deciding whether to match along xy.
-
-        Built on first use; every blocking-pair verdict reads its terms here.
+        The stake of x is its endpoint reward plus alpha1 times y's: the
+        quantity x weighs when deciding whether to match along xy.  This is
+        the exact rational view; verdicts read ``verdict_table``.
         """
-        if isinstance(self.sharing, EqualSharing):
-            ends = [(r, r) for r in self.rewards]
-        else:
-            ends = self.shares
         a1 = self.friendship.alpha1
         table: tuple[dict, ...] = tuple({} for _ in range(self.graph.n))
-        for (u, v), (eu, ev) in zip(self.graph.edges, ends):
+        for (u, v), (eu, ev) in zip(self.graph.edges, self._endpoint_rewards()):
             table[u][v] = (eu + a1 * ev, eu, ev)
             table[v][u] = (ev + a1 * eu, ev, eu)
         return table
+
+    @cached_property
+    def verdict_table(self) -> tuple[int, tuple[dict[int, tuple[int, int, int, int, int]], ...]]:
+        """(S, table): the verdict terms of every oriented edge as integers over one scale S.
+
+        Per node x, per neighbour y, with e_x and e_y the endpoint rewards on
+        xy: (stake of x, e_x, alpha1 e_x, alpha1 e_y, alpha2 e_y), each
+        times S.  S is the lcm of all endpoint rewards' denominators times
+        the lcm of alpha1's and alpha2's, so every entry is an integer.  A
+        positive common factor keeps every strict inequality and every tie
+        among the entries and their sums; the rational value of an entry is
+        ``Fraction(entry, S)``.  Built on first use with ``int`` operations.
+        """
+        ends = self._endpoint_rewards()
+        unit, scaled = rescale(e for pair in ends for e in pair)
+        a1, a2 = self.friendship.alpha1, self.friendship.alpha2
+        den = math.lcm(a1.denominator, a2.denominator)
+        c1 = a1.numerator * (den // a1.denominator)
+        c2 = a2.numerator * (den // a2.denominator)
+        table: tuple[dict, ...] = tuple({} for _ in range(self.graph.n))
+        for k, (u, v) in enumerate(self.graph.edges):
+            eu, ev = scaled[2 * k], scaled[2 * k + 1]
+            table[u][v] = (eu * den + c1 * ev, eu * den, c1 * eu, c1 * ev, c2 * ev)
+            table[v][u] = (ev * den + c1 * eu, ev * den, c1 * ev, c1 * eu, c2 * eu)
+        return unit * den, table
 
     @cached_property
     def share_ratio(self) -> Optional[Fraction]:

@@ -3,9 +3,12 @@
 The improving-deviation conditions are evaluated as exact strict
 inequalities in the endpoint-reward convention of the instance (both
 endpoints enjoy the full edge reward under equal sharing, shares
-otherwise).  Ties are never improving.  A verdict needs no hop
-distance: the only friendship term beyond alpha1 is between an endpoint
-and its partner's old partner, which are one or two hops apart.
+otherwise).  Every verdict compares Python ``int``s: the instance's terms
+rescaled over one per-instance scale (``GameInstance.verdict_table``);
+only a witness is turned back into rationals.  Ties are never improving.
+A verdict needs no hop distance: the only friendship term beyond alpha1
+is between an endpoint and its partner's old partner, which are one or
+two hops apart.
 """
 
 from __future__ import annotations
@@ -196,32 +199,28 @@ def _pair_check(
 
     where p_x, p_y are the current partners, a term is dropped when its
     partner is None, and c is alpha1 if p_y is adjacent to x, else alpha2
-    (x-y-p_y is a path; alpha2 for a relaxed both-matched pair).  The
-    verdict reads only the partners of u and v.  Scans stop at the first
-    side that fails; when ``witness`` is a list, both sides are evaluated
-    and appended to it as Conditions.  Never call this on a pair matched
-    to each other.
+    (x-y-p_y is a path; alpha2 for a relaxed both-matched pair).  Both
+    sides are ``int``s from ``GameInstance.verdict_table``, over its one
+    scale S.  The verdict reads only the partners of u and v.  Scans stop
+    at the first side that fails; when ``witness`` is a list, both sides
+    are evaluated and appended to it as Conditions, divided back by S.
+    Never call this on a pair matched to each other.
     """
-    table = instance.oriented_edges
-    a1 = instance.friendship.alpha1
+    scale, table = instance.verdict_table
     blocking = True
     for x, y in ((u, v), (v, u)):
         px = partner[x]
         py = partner[y]
-        lhs = table[x][y][0]
-        rhs = ZERO if px is None else table[x][px][0]
+        row = table[x]
+        lhs = row[y][0]
+        rhs = 0 if px is None else row[px][0]
         if py is not None:
-            _, own, other = table[y][py]
-            cross = instance.friendship.alpha2 if (relaxed and px is not None) or py not in table[x] else a1
-            # A zero coefficient adds nothing; skipping it saves Fraction work.
-            if a1:
-                rhs = rhs + a1 * own
-            if cross:
-                rhs = rhs + cross * other
+            _, _, a1_own, a1_other, a2_other = table[y][py]
+            rhs += a1_own + (a2_other if (relaxed and px is not None) or py not in row else a1_other)
         if witness is not None:
-            witness.append(Condition(node=x, lhs=lhs, rhs=rhs))
+            witness.append(Condition(node=x, lhs=Fraction(lhs, scale), rhs=Fraction(rhs, scale)))
             blocking = blocking and lhs > rhs
-        elif not lhs > rhs:
+        elif lhs <= rhs:
             return False
     return blocking
 

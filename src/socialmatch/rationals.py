@@ -7,18 +7,26 @@ from fractions import Fraction
 from typing import Iterable
 
 
+class InstanceError(ValueError):
+    """Raised when an instance violates a structural invariant."""
+
+
 def rat(value: int | str | Fraction) -> Fraction:
     """Parse a rational from an int, a Fraction, or a string.
 
     Strings may be "p/q" or decimal ("0.25"); both parse exactly.  A bool
-    is not a rational: JSON ``true`` must not read as 1.
+    is not a rational: JSON ``true`` must not read as 1, and "p/0" is not
+    one either (``InstanceError``).
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise InstanceError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not a rational: {value!r}")
 
 

@@ -15,7 +15,6 @@ from typing import Optional
 from .instance import GameInstance
 from .matching import Matching, is_stable
 from .oracle import DEFAULT_ENUM_LIMIT, enumerate_matchings
-from .rationals import rescale
 
 MODE_RAW = "raw"
 MODE_Q = "q"
@@ -29,29 +28,24 @@ class PreferenceCycleError(ValueError):
         self.cycle = cycle
 
 
-def _column(mode: str) -> int:
-    """Column of ``GameInstance.oriented_edges`` that holds the mode's key."""
-    if mode == MODE_RAW:
-        return 1  # own endpoint reward
-    if mode == MODE_Q:
-        return 0  # stake
-    raise ValueError(f"unknown preference mode {mode!r}")
-
-
 def _key_table(instance: GameInstance, mode: str) -> tuple[dict[int, int], ...]:
-    """Per node x, per neighbour y: the key x assigns to y, rescaled to an integer.
+    """Per node x, per neighbour y: the key x assigns to y, as an integer.
 
-    The key is read from ``oriented_edges``: the endpoint reward (raw) or
-    the stake (q).  Those equal the share and the q-value, or twice them
-    under equal sharing, on every edge.  The preference machinery only
-    compares keys, with each other and with 0, and a positive factor common
-    to all of them keeps every strict order, every tie and every sign.
+    The key is read from ``GameInstance.verdict_table``: the endpoint
+    reward (raw) or the stake (q).  Those equal the share and the q-value,
+    or twice them under equal sharing, on every edge, times the table's
+    one positive scale.  The preference machinery only compares keys, with
+    each other and with 0, and a positive factor common to all of them
+    keeps every strict order, every tie and every sign.
     """
-    column = _column(mode)
-    rows = instance.oriented_edges
-    _, scaled = rescale(terms[column] for row in rows for terms in row.values())
-    keys = iter(scaled)
-    return tuple({y: next(keys) for y in row} for row in rows)
+    if mode == MODE_RAW:
+        column = 1  # own endpoint reward
+    elif mode == MODE_Q:
+        column = 0  # stake
+    else:
+        raise ValueError(f"unknown preference mode {mode!r}")
+    _, rows = instance.verdict_table
+    return tuple({y: terms[column] for y, terms in row.items()} for row in rows)
 
 
 @dataclass(frozen=True)

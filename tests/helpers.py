@@ -6,7 +6,7 @@ import random
 from collections import deque
 from functools import lru_cache
 from fractions import Fraction as F
-from typing import Optional
+from typing import Optional, Sequence
 
 from socialmatch.dynamics import TraceStep
 from socialmatch.instance import (
@@ -16,13 +16,13 @@ from socialmatch.instance import (
     GameInstance,
     Graph,
     ObliviousSharing,
-    build_distances,
     normalize_edge,
 )
 from socialmatch.matching import (
     BISWIVEL,
     RELAXED_BISWIVEL,
     SWIVEL,
+    Condition,
     Matching,
     apply_deviation,
     blocking_pairs,
@@ -71,6 +71,27 @@ def exact_key(instance: GameInstance, mode: str, x: int, y: int) -> F:
     return own + instance.friendship.alpha1 * other
 
 
+def build_distances(graph: Graph) -> tuple[tuple[Optional[int], ...], ...]:
+    """All-pairs unweighted shortest hop distances (BFS from each node).
+
+    Disconnected pairs get ``None``.  The library weighs friendship only
+    through ``FriendshipVector.rows``; this is the dense reference.
+    """
+    out = []
+    for src in range(graph.n):
+        dist: list[Optional[int]] = [None] * graph.n
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            for y in graph.adjacency[x]:
+                if dist[y] is None:
+                    dist[y] = dist[x] + 1  # type: ignore[operator]
+                    queue.append(y)
+        out.append(tuple(dist))
+    return tuple(out)
+
+
 @lru_cache(maxsize=64)
 def distances(graph: Graph) -> tuple[tuple[Optional[int], ...], ...]:
     """``build_distances`` once per graph: the dense reference table."""
@@ -98,6 +119,33 @@ def brute_improving(instance: GameInstance, matching: Matching, u: int, v: int) 
     return dense_perceived(instance, after, u) > dense_perceived(
         instance, matching, u
     ) and dense_perceived(instance, after, v) > dense_perceived(instance, matching, v)
+
+
+def rational_pair_check(
+    instance: GameInstance,
+    partner: Sequence[Optional[int]],
+    u: int,
+    v: int,
+    relaxed: bool,
+    witness: Optional[list[Condition]] = None,
+) -> bool:
+    """Reference for ``matching._pair_check``: the same inequalities, read from
+    the exact rational ``oriented_edges`` and evaluated in ``Fraction``s."""
+    table = instance.oriented_edges
+    a1, a2 = instance.friendship.alpha1, instance.friendship.alpha2
+    blocking = True
+    for x, y in ((u, v), (v, u)):
+        px, py = partner[x], partner[y]
+        lhs = table[x][y][0]
+        rhs = F(0) if px is None else table[x][px][0]
+        if py is not None:
+            _, own, other = table[y][py]
+            cross = a2 if (relaxed and px is not None) or py not in table[x] else a1
+            rhs += a1 * own + cross * other
+        if witness is not None:
+            witness.append(Condition(node=x, lhs=lhs, rhs=rhs))
+        blocking = blocking and lhs > rhs
+    return blocking
 
 
 def best_pair(instance: GameInstance, matching: Matching, relaxed: bool) -> Optional[Edge]:

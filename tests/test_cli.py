@@ -634,3 +634,71 @@ def test_ccg_profile_rejects_max_n(tmp_path, capsys):
     code, out, err = run(capsys, "ccg", "--game", str(gpath), "--profile", str(ppath), "--max-n", "1")
     assert (code, out) == (1, "")
     assert err == "--max-n does not apply to --profile, which enumerates nothing\n"
+
+
+EDGES_1_1 = [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (("audit",), {"nodes": 3, "edges": [{"u": 0, "v": 1, "r": "1/0"}]}),
+        (("audit",), {"nodes": 3, "edges": EDGES_1_1, "alpha": ["1/0"]}),
+        (("audit", "--alpha", "1/0"), {"nodes": 3, "edges": EDGES_1_1}),
+        (
+            ("audit",),
+            {"nodes": 3, "edges": EDGES_1_1,
+             "sharing": {"rule": "oblivious", "shares": [{"u": "1/0", "v": "1"}, {"u": "1", "v": "0"}]}},
+        ),
+        (("gen", "pos-tight", "--eps", "1/0"), None),
+    ],
+    ids=["reward", "alpha-entry", "alpha-flag", "oblivious-share", "gen-eps"],
+)
+def test_zero_denominator_exit_1(tmp_path, capsys, argv, doc):
+    # Each of these escaped as a ZeroDivisionError traceback.
+    if doc is not None:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        argv = (*argv, "--instance", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+def test_check_matching_rejects_grid_k(tmp_path, capsys):
+    # --grid-k was ignored on the matching path: --grid-k 0 printed the same
+    # bytes as no flag, although it is an error with --game.
+    ipath = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--out", str(ipath))
+    mpath = tmp_path / "matching.json"
+    mpath.write_text(json.dumps({"pairs": [[1, 2]]}))
+    argv = ("check", "--instance", str(ipath), "--matching", str(mpath))
+    assert run(capsys, *argv)[0] == 0
+    for k in ("0", "8"):
+        assert run(capsys, *argv, "--grid-k", k) == (1, "", "--grid-k applies only to --game with --profile\n")
+
+
+def test_max_n_rejected_where_no_cap_applies(tmp_path, capsys):
+    # Each of these ran to exit 0 with --max-n 1 on n=4.
+    ipath = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--alpha", "1/2", "--out", str(ipath))
+    mpath = tmp_path / "matching.json"
+    mpath.write_text(json.dumps({"pairs": []}))
+    base = ("--instance", str(ipath), "--max-n", "1")
+    greedy = run(capsys, "solve", *base, "--method", "greedy")
+    assert greedy == (1, "", "--max-n does not apply to --method greedy, which has no size cap\n")
+    for method in ("bbp", "arbitrary"):
+        for start in ("empty", str(mpath)):
+            assert run(capsys, "dynamics", *base, "--method", method, "--start", start) == (
+                1, "", "--max-n applies only to --start opt, which computes the exact optimum\n"
+            ), (method, start)
+    # Where a cap applies, the flag still caps.
+    limit = "limit: n=4 exceeds exact-optimum limit 1\n"
+    assert run(capsys, "dynamics", *base, "--method", "bbp", "--start", "opt") == (1, "", limit)
+    assert run(capsys, "dynamics", *base, "--method", "arbitrary") == (1, "", limit)
+    assert run(capsys, "solve", *base, "--method", "brbp") == (1, "", limit)
+    # srpq enumerates only when its q-preferences are cyclic.
+    cpath = tmp_path / "cyclic.json"
+    run(capsys, "gen", "cyclic-triangle", "--out", str(cpath))
+    code, out, err = run(capsys, "solve", "--instance", str(cpath), "--max-n", "1", "--method", "srpq")
+    assert (code, out) == (1, "") and err.startswith("limit: n=3 exceeds")

@@ -14,13 +14,12 @@ from socialmatch.instance import (
     MatthewSharing,
     TrustSharing,
     UndefinedRatioError,
-    build_distances,
     compute_Q,
     compute_R,
     instance_from_json,
     instance_to_json,
 )
-from helpers import ALPHA_SAMPLES, PATH3, dense_perceived, oblivious_instance, path3_equal
+from helpers import ALPHA_SAMPLES, PATH3, build_distances, dense_perceived, oblivious_instance, path3_equal
 from socialmatch.ccg import ContributionGame, RewardFunction, StrategyProfile, node_rewards, perceived_utilities
 from socialmatch.generators import gen_matthew_poa_tight, gen_random
 from socialmatch.matching import Matching, perceived_utility, utility_profile

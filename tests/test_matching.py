@@ -1,20 +1,25 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from socialmatch.instance import (
+    EqualSharing,
     FriendshipVector,
     GameInstance,
     Graph,
     InstanceError,
     MatthewSharing,
-    build_distances,
+    ObliviousSharing,
+    ParasiteSharing,
+    TrustSharing,
 )
 from socialmatch.matching import (
     BISWIVEL,
     SWIVEL,
     Matching,
     StaleDeviationError,
+    _pair_check,
     apply_deviation,
     deviation_for,
     is_improving_pair,
@@ -25,7 +30,14 @@ from socialmatch.matching import (
     perceived_utility,
     utility_profile,
 )
-from helpers import ALPHA_SAMPLES, brute_improving, oblivious_instance, path3_equal
+from helpers import (
+    ALPHA_SAMPLES,
+    brute_improving,
+    build_distances,
+    oblivious_instance,
+    path3_equal,
+    rational_pair_check,
+)
 from socialmatch.generators import gen_friendship_rs_tight, gen_pos_tight, gen_random
 
 OUTER_PAIRING = Matching.of(4, [(0, 1), (2, 3)])
@@ -351,3 +363,57 @@ def test_verdict_serialization():
     assert doc["blocking"] is True
     assert doc["conditions"][0]["lhs"] == "21/10"
     assert doc["conditions"][0]["rhs"] == "2"
+
+
+KERNEL_ALPHAS = ((), (F(1, 2), F(0)), (F(1), F(1)), (F(2, 3), F(1, 3)), (F(1, 3), F(1, 7)))
+
+
+def _coprime_instances(alpha):
+    """A 6-node graph whose rewards, shares, lambdas and h have pairwise coprime
+    denominators, under each sharing rule."""
+    graph = Graph(6, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)))
+    rewards = (F(1, 3), F(2, 5), F(3, 7), F(5, 11), F(7, 13), F(11, 17), F(13, 19), F(17, 23))
+    lam = (F(1, 2), F(3, 5), F(7, 3), F(2, 7), F(5, 11), F(9, 13))
+    beta = (F(1, 29), F(2, 31), F(0), F(3, 37), F(1, 41), F(4, 43))
+    h = tuple(F(k, 47 + 6 * k) for k in range(1, 9))
+    trust_rewards = tuple(2 * h[i] + beta[u] + beta[v] for i, (u, v) in enumerate(graph.edges))
+    fv = FriendshipVector(alpha)
+    yield GameInstance(graph=graph, rewards=rewards, sharing=EqualSharing(), friendship=fv)
+    yield GameInstance(graph=graph, rewards=rewards, sharing=MatthewSharing(lam=lam), friendship=fv)
+    yield GameInstance(graph=graph, rewards=rewards, sharing=ParasiteSharing(lam=lam), friendship=fv)
+    yield GameInstance(graph=graph, rewards=trust_rewards, sharing=TrustSharing(beta=beta, h=h), friendship=fv)
+    # Oblivious, with a zero share on edge (1, 2).
+    shares = tuple((F(0), r) if e == (1, 2) else (r * F(2, 9), r * F(7, 9)) for e, r in zip(graph.edges, rewards))
+    yield GameInstance(graph=graph, rewards=rewards, sharing=ObliviousSharing(shares=shares), friendship=fv)
+
+
+def test_integer_verdicts_match_rational_reference():
+    # Every edge's verdict, exact and relaxed, and every witness inequality
+    # agree with the same formula evaluated in Fractions.
+    rng = random.Random(11)
+    instances = []
+    for alpha in KERNEL_ALPHAS:
+        instances.extend(_coprime_instances(alpha))
+        for rule in ("equal", "matthew", "parasite", "trust", "oblivious"):
+            for seed in range(2):
+                instances.append(gen_random(seed=seed, n=8, density=0.5, rule=rule, alpha=alpha))
+    checked = 0
+    for inst in instances:
+        edges = inst.graph.edges
+        for _ in range(12):
+            partner: list = [None] * inst.graph.n
+            for u, v in rng.sample(edges, len(edges)):
+                if partner[u] is None and partner[v] is None and rng.random() < 0.6:
+                    partner[u], partner[v] = v, u
+            for u, v in edges:
+                if partner[u] == v:
+                    continue
+                for relaxed in (False, True):
+                    got, want = [], []
+                    expected = rational_pair_check(inst, partner, u, v, relaxed, want)
+                    assert _pair_check(inst, partner, u, v, relaxed) == expected
+                    assert _pair_check(inst, partner, u, v, relaxed, got) == expected
+                    assert got == want
+                    assert all(type(c.lhs) is F and type(c.rhs) is F for c in got)
+                    checked += 1
+    assert checked > 10_000
