@@ -17,6 +17,7 @@ from .instance import (
     EqualSharing,
     GameInstance,
     Graph,
+    InstanceError,
     TrustSharing,
     compute_Q,
     compute_Q_prime,
@@ -32,69 +33,129 @@ class SizeLimitError(RuntimeError):
     """Instance exceeds the configured exact-computation limit."""
 
 
+def require_max_n(max_n: int) -> None:
+    """A size cap is a count of nodes: a negative one is an input error."""
+    if max_n < 0:
+        raise InstanceError(f"max_n must be at least 0, got {max_n}")
+
+
+def _min_frontier_order(graph: Graph) -> list[int]:
+    """The nodes in an order that keeps the DP's frontier small.
+
+    The frontier is the set of unplaced neighbours of placed nodes.  Each
+    step places the unplaced node that leaves the smallest frontier: the
+    fewest new nodes added, less one if the node itself leaves the
+    frontier.  Ties go to a node already on it, then to the smaller id.
+    """
+    n = graph.n
+    neighbours = [0] * n
+    for u, v in graph.edges:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    order: list[int] = []
+    todo = list(range(n))
+    unplaced = (1 << n) - 1
+    frontier = 0
+    while todo:
+        fresh = unplaced & ~frontier
+        best = 2 * n
+        for x in todo:
+            # (growth, not on the frontier) as one int below 2n; a strict <
+            # keeps the smaller id.
+            on = frontier >> x & 1
+            key = 2 * (neighbours[x] & fresh).bit_count() - 3 * on
+            if key < best:
+                best, v = key, x
+        todo.remove(v)
+        order.append(v)
+        unplaced ^= 1 << v
+        frontier = (frontier | neighbours[v]) & unplaced
+    return order
+
+
 def max_weight_matching(
     instance: GameInstance, *, max_n: int = DEFAULT_EXACT_LIMIT
 ) -> tuple[Matching, Fraction]:
     """Exact maximum-weight matching via subset dynamic programming.
 
-    The DP runs on integers: every reward is multiplied by the lcm of the
+    The DP runs on integers.  Every reward is multiplied by the lcm of the
     rewards' denominators, which keeps every strict inequality and every
-    tie, and the optimum is divided back at the end.  The witness is
-    deterministic: at each step the lowest free node is matched to the
-    smallest neighbor that still achieves the optimum (preferring a match
-    over skipping when values tie), which yields the lexicographically
-    least optimal pair list.
+    tie.  Then the edge of rank r among the m sorted edges gets one
+    tie-break bit: its weight becomes ``(w << m) | (1 << (m - 1 - r))``.
+    The bits sum to less than ``1 << m``, so they decide only between
+    matchings of equal value, and there they favour the matching that holds
+    the earlier edge at the first edge where two differ.  No two matchings
+    share a weight, so the optimum has exactly one witness: among the
+    optimal matchings, the one that matches the free node of lowest id to
+    its smallest neighbour whenever some optimum allows it.  This is the
+    lexicographically least optimal pair list, and the optimum is
+    ``total >> m`` divided by the scale.
+
+    Since the witness is unique, the DP may visit the nodes in any order.
+    Its state is the set of nodes still free; the lowest in the order is
+    either left unmatched or matched to a later free neighbour.  The states
+    it reaches grow like 2^frontier, so the order is ``_min_frontier_order``.
     """
     graph = instance.graph
     n = graph.n
+    require_max_n(max_n)
     if n > max_n:
         raise SizeLimitError(f"n={n} exceeds exact-optimum limit {max_n}")
     scale, weights = rescale(instance.rewards)
-    # Per node: (neighbour, its bit, scaled reward).  The edges are sorted,
-    # so each row lists its neighbours in increasing id.
-    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (u, v), w in zip(graph.edges, weights):
-        arcs[u].append((v, 1 << v, w))
-        arcs[v].append((u, 1 << u, w))
+    m = len(weights)
+    order = _min_frontier_order(graph)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    # Per position: (bit of a later neighbour, perturbed weight).  The bits
+    # of a state are positions, so its lowest bit is the next node in order.
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for r, ((u, v), w) in enumerate(zip(graph.edges, weights)):
+        lo, hi = position[u], position[v]
+        if lo > hi:
+            lo, hi = hi, lo
+        arcs[lo].append((1 << hi, (w << m) | (1 << (m - 1 - r))))
     memo: dict[int, int] = {0: 0}
 
     def best(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        value = best(rest)  # leave v unmatched
-        for _, bit, w in arcs[v]:
+        low = mask & -mask
+        rest = mask ^ low
+        value = memo.get(rest)  # leave the node unmatched
+        if value is None:
+            value = best(rest)
+        for bit, w in arcs[low.bit_length() - 1]:
             if mask & bit:
-                cand = w + best(rest & ~bit)
+                cand = memo.get(rest ^ bit)
+                if cand is None:
+                    cand = best(rest ^ bit)
+                cand += w
                 if cand > value:
                     value = cand
         memo[mask] = value
         return value
 
     mask = (1 << n) - 1
-    total = best(mask)
+    total = best(mask) if mask else 0
+    # Each state's children are in the memo, and exactly one of them
+    # reaches its value.
     pairs = []
     while mask:
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        target = best(mask)
-        chosen = None
-        for u, bit, w in arcs[v]:
-            if mask & bit and w + best(rest & ~bit) == target:
-                chosen = u
+        low = mask & -mask
+        rest = mask ^ low
+        i = low.bit_length() - 1
+        for bit, w in arcs[i]:
+            if mask & bit and memo[rest ^ bit] + w == memo[mask]:
+                pairs.append((order[i], order[bit.bit_length() - 1]))
+                mask = rest ^ bit
                 break
-        if chosen is None:
-            mask = rest
         else:
-            pairs.append((v, chosen))
-            mask = rest & ~(1 << chosen)
-    return Matching.of(n, pairs), Fraction(total, scale)
+            mask = rest
+    return Matching.of(n, pairs), Fraction(total >> m, scale)
 
 
 def enumerate_matchings(graph: Graph, *, max_n: int = DEFAULT_ENUM_LIMIT) -> Iterator[Matching]:
     """Every matching of the graph, in a fixed deterministic order."""
+    require_max_n(max_n)
     if graph.n > max_n:
         raise SizeLimitError(f"n={graph.n} exceeds enumeration limit {max_n}")
     adjacency = graph.adjacency
@@ -137,6 +198,7 @@ def enumerate_stable_matchings(
     """
     graph = instance.graph
     n = graph.n
+    require_max_n(max_n)
     if n > max_n:
         raise SizeLimitError(f"n={n} exceeds enumeration limit {max_n}")
     adjacency = graph.adjacency

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .instance import GameInstance
 from .matching import Matching, is_stable
-from .oracle import DEFAULT_ENUM_LIMIT, enumerate_matchings
+from .oracle import DEFAULT_ENUM_LIMIT, enumerate_matchings, require_max_n
 
 MODE_RAW = "raw"
 MODE_Q = "q"
@@ -269,6 +269,7 @@ def solve_srp_q(
     matching is verified stable in the friendship game before returning;
     None means the reduction has no stable matching.
     """
+    require_max_n(max_n)
     keys = _key_table(instance, MODE_Q)
     try:
         result = _greedy(instance, keys)

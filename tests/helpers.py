@@ -30,6 +30,8 @@ from socialmatch.matching import (
     matching_value,
     node_reward,
 )
+from socialmatch.oracle import DEFAULT_EXACT_LIMIT, SizeLimitError
+from socialmatch.rationals import rescale
 from socialmatch.roommates import MODE_Q, MODE_RAW
 
 PATH3 = Graph(4, ((0, 1), (1, 2), (2, 3)))
@@ -69,6 +71,67 @@ def exact_key(instance: GameInstance, mode: str, x: int, y: int) -> F:
         return own
     assert mode == MODE_Q, mode
     return own + instance.friendship.alpha1 * other
+
+
+def subset_dp_max_weight(
+    instance: GameInstance, *, max_n: int = DEFAULT_EXACT_LIMIT
+) -> tuple[Matching, F]:
+    """Reference for ``oracle.max_weight_matching``: the subset DP over node ids.
+
+    The DP runs on integers: every reward is multiplied by the lcm of the
+    rewards' denominators, which keeps every strict inequality and every
+    tie, and the optimum is divided back at the end.  The witness is
+    deterministic: at each step the lowest free node is matched to the
+    smallest neighbor that still achieves the optimum (preferring a match
+    over skipping when values tie), which yields the lexicographically
+    least optimal pair list.
+    """
+    graph = instance.graph
+    n = graph.n
+    if n > max_n:
+        raise SizeLimitError(f"n={n} exceeds exact-optimum limit {max_n}")
+    scale, weights = rescale(instance.rewards)
+    # Per node: (neighbour, its bit, scaled reward).  The edges are sorted,
+    # so each row lists its neighbours in increasing id.
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in zip(graph.edges, weights):
+        arcs[u].append((v, 1 << v, w))
+        arcs[v].append((u, 1 << u, w))
+    memo: dict[int, int] = {0: 0}
+
+    def best(mask: int) -> int:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        value = best(rest)  # leave v unmatched
+        for _, bit, w in arcs[v]:
+            if mask & bit:
+                cand = w + best(rest & ~bit)
+                if cand > value:
+                    value = cand
+        memo[mask] = value
+        return value
+
+    mask = (1 << n) - 1
+    total = best(mask)
+    pairs = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        target = best(mask)
+        chosen = None
+        for u, bit, w in arcs[v]:
+            if mask & bit and w + best(rest & ~bit) == target:
+                chosen = u
+                break
+        if chosen is None:
+            mask = rest
+        else:
+            pairs.append((v, chosen))
+            mask = rest & ~(1 << chosen)
+    return Matching.of(n, pairs), F(total, scale)
 
 
 def build_distances(graph: Graph) -> tuple[tuple[Optional[int], ...], ...]:

@@ -702,3 +702,23 @@ def test_max_n_rejected_where_no_cap_applies(tmp_path, capsys):
     run(capsys, "gen", "cyclic-triangle", "--out", str(cpath))
     code, out, err = run(capsys, "solve", "--instance", str(cpath), "--max-n", "1", "--method", "srpq")
     assert (code, out) == (1, "") and err.startswith("limit: n=3 exceeds")
+
+
+def test_negative_max_n_exit_1(tmp_path, capsys):
+    # solve --method srpq ran to exit 0 on this acyclic instance, and audit
+    # reported "n=4 exceeds enumeration limit -2".
+    ipath = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--alpha", "1/2", "--out", str(ipath))
+    rejected = (1, "", "error: max_n must be at least 0, got -2\n")
+    base = ("--instance", str(ipath), "--max-n", "-2")
+    for method in ("brbp", "srpq"):
+        assert run(capsys, "solve", *base, "--method", method) == rejected, method
+    assert run(capsys, "audit", *base) == rejected
+    for method in ("brbp", "bbp", "arbitrary"):
+        assert run(capsys, "dynamics", *base, "--method", method) == rejected, method
+    assert run(capsys, "dynamics", *base, "--method", "bbp", "--start", "opt") == rejected
+    for mode in ("atmost", "exact"):
+        game = gen_random_ccg(seed=3, n=5, density=0.6, split="equal", mode=mode, alpha=("1/2",))
+        gpath = tmp_path / f"{mode}.json"
+        gpath.write_text(ccg_to_json(game))
+        assert run(capsys, "ccg", "--game", str(gpath), "--max-n", "-2") == rejected, mode

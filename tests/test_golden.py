@@ -52,6 +52,13 @@ COMMANDS = {
         ["solve", "--method", "brbp", "--max-n", "22"],
         0,
     ),
+    # n=22 at the default cap.  The optimum is tied: another optimal matching
+    # avoids the DP witness's edge (1, 2), so brbp's start pins the tie rule.
+    "solve-brbp-equal-n22": (
+        ["random", "--seed", "37", "--n", "22", "--density", "0.3"],
+        ["solve", "--method", "brbp"],
+        0,
+    ),
     "solve-brbp-trust": (
         ["random", "--seed", "5", "--n", "10", "--rule", "trust"],
         ["solve", "--method", "brbp"],

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from socialmatch.instance import Graph
+from socialmatch.instance import Graph, InstanceError
 from socialmatch.matching import Matching, is_stable, matching_value
 from socialmatch.oracle import (
     SizeLimitError,
@@ -12,7 +12,7 @@ from socialmatch.oracle import (
     enumerate_stable_matchings,
     max_weight_matching,
 )
-from helpers import ALPHA_SAMPLES, equal_instance, oblivious_instance, path3_equal
+from helpers import ALPHA_SAMPLES, equal_instance, oblivious_instance, path3_equal, subset_dp_max_weight
 from socialmatch.generators import (
     gen_cyclic_triangle,
     gen_friendship_rs_tight,
@@ -21,6 +21,7 @@ from socialmatch.generators import (
     gen_pos_tight,
     gen_random,
 )
+from socialmatch.roommates import solve_srp_q
 
 
 def test_max_weight_path():
@@ -100,6 +101,43 @@ def test_max_weight_value_matches_networkx():
             g.add_edge(u, v, weight=r)
         expected = sum((g[u][v]["weight"] for u, v in nx.max_weight_matching(g)), F(0))
         assert max_weight_matching(inst)[1] == expected, seed
+
+
+def test_max_weight_witness_matches_reference_dp():
+    # The frontier-ordered DP with tie-break bits returns the same optimum and
+    # the same witness as the subset DP over node ids, ties included.
+    cases = []
+    for seed in range(40):
+        for rule in ("equal", "matthew", "parasite", "trust", "oblivious"):
+            for rewards in ((1, 1), (1, 8)):
+                density = (0.2, 0.4, 0.6, 0.9)[seed % 4]
+                cases.append(gen_random(seed, 2 + seed % 13, density, reward_range=rewards, rule=rule))
+    cases += [mixed_instance(200 + seed, 4 + seed % 11, 0.5) for seed in range(30)]
+    for n in range(2, 15):
+        complete = tuple((u, v) for u in range(n) for v in range(u + 1, n))
+        cases.append(equal_instance(Graph(n, complete), [1] * len(complete)))
+        cases.append(equal_instance(Graph(n, complete), [1 + (u * v) % 3 for u, v in complete]))
+    cases += [gen_random(seed, n, 0.3, reward_range=(1, 1)) for seed, n in ((1, 20), (2, 21), (3, 22))]
+    for inst in cases:
+        witness, value = max_weight_matching(inst)
+        ref_witness, ref_value = subset_dp_max_weight(inst)
+        assert isinstance(value, F) and value == ref_value
+        assert witness.sorted_pairs() == ref_witness.sorted_pairs()
+
+
+def test_negative_max_n_is_an_input_error():
+    inst = path3_equal()
+    message = "max_n must be at least 0, got -2"
+    with pytest.raises(InstanceError, match=message):
+        max_weight_matching(inst, max_n=-2)
+    with pytest.raises(InstanceError, match=message):
+        list(enumerate_matchings(inst.graph, max_n=-2))
+    with pytest.raises(InstanceError, match=message):
+        enumerate_stable_matchings(inst, max_n=-2)
+    # Its q-preferences are acyclic, so the greedy path would answer.
+    with pytest.raises(InstanceError, match=message):
+        solve_srp_q(inst, max_n=-2)
+    assert max_weight_matching(equal_instance(Graph(0, ()), ()), max_n=0)[1] == 0
 
 
 def test_max_weight_size_limit():
