@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import socialmatch
-from socialmatch.ccg import ccg_from_json, ccg_to_json
+from socialmatch.ccg import ContributionGame, RewardFunction, ccg_from_json, ccg_to_json
 from socialmatch.cli import main
-from socialmatch.generators import gen_random_ccg
+from socialmatch.generators import gen_nonexistence_friendship_matthew, gen_random_ccg
 from socialmatch.instance import FriendshipVector, instance_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -722,3 +722,54 @@ def test_negative_max_n_exit_1(tmp_path, capsys):
         gpath = tmp_path / f"{mode}.json"
         gpath.write_text(ccg_to_json(game))
         assert run(capsys, "ccg", "--game", str(gpath), "--max-n", "-2") == rejected, mode
+
+
+@pytest.mark.parametrize(
+    "kwargs, max_n, err",
+    [
+        (
+            dict(seed=1, n=5, density=0.6, split="matthew", mode="exact", alpha=("1/2",)),
+            None,
+            "error: forbidden edges are defined for equal splits\n",
+        ),
+        (
+            dict(seed=1, n=5, density=0.6, split="equal", mode="exact", alpha=("1/2", "1/4")),
+            None,
+            "error: forbidden edges are defined for local friendship\n",
+        ),
+        (dict(seed=2, n=23, density=0.3, alpha=("1/2",)), None, "limit: n=23 exceeds enumeration limit 12\n"),
+        (dict(seed=2, n=8, density=0.3, alpha=("1/2",)), "7", "limit: n=8 exceeds enumeration limit 7\n"),
+        (
+            dict(seed=2, n=8, density=0.3, mode="exact", alpha=("1/2",)),
+            "7",
+            "limit: n=8 exceeds exact-optimum limit 7\n",
+        ),
+    ],
+    ids=["exact-matthew", "exact-nonlocal", "atmost-n23", "atmost-max-n-7", "exact-max-n-7"],
+)
+def test_ccg_rejections_and_which_error_wins(tmp_path, capsys, kwargs, max_n, err):
+    # An exact-mode game without equal splits and local friendship is
+    # rejected before any cap check, and an atmost game over both caps
+    # reports the enumeration cap.
+    gpath = tmp_path / "game.json"
+    gpath.write_text(ccg_to_json(gen_random_ccg(**kwargs)))
+    flags = () if max_n is None else ("--max-n", max_n)
+    assert run(capsys, "ccg", "--game", str(gpath), *flags) == (1, "", err)
+
+
+def test_ccg_without_stable_matching_exit_2(tmp_path, capsys):
+    # The brand-value 5-cycle with friendship has no stable matching, and a
+    # product game with unit budgets and the same rewards corresponds to it.
+    gadget = gen_nonexistence_friendship_matthew()
+    game = ContributionGame(
+        graph=gadget.graph,
+        budgets=(F(1),) * gadget.graph.n,
+        functions=tuple(RewardFunction("product", r) for r in gadget.rewards),
+        splits=("matthew",) * len(gadget.graph.edges),
+        friendship=gadget.friendship,
+        lam=gadget.sharing.lam,
+    )
+    gpath = tmp_path / "game.json"
+    gpath.write_text(ccg_to_json(game))
+    out = '{\n  "equilibrium": null,\n  "mode": "atmost",\n  "note": "no stable matching in the corresponding game"\n}\n'
+    assert run(capsys, "ccg", "--game", str(gpath)) == (2, out, "")
