@@ -33,6 +33,7 @@ from .instance import (
     normalize_edge,
     perceive,
 )
+from .dynamics import run_brbp
 from .matching import Matching, is_stable
 from .oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, enumerate_stable_matchings, max_weight_matching
 from .rationals import rat, rat_str, rescale
@@ -660,71 +661,78 @@ def tight_social_optimum(game: ContributionGame, *, exact_max_n: int = DEFAULT_E
     return saturated_profile(game, witness)
 
 
-def detect_forbidden_edges(game: ContributionGame) -> tuple[Edge, ...]:
-    """Edges whose endpoints each have a degree-1 pendant alternative and
-    would jointly defect to those pendants even from a saturated edge.
-
-    Defined for exact mode with equal splits and local friendship.
-    """
+def require_forbidden_edges_defined(game: ContributionGame) -> None:
+    """Raise unless the game is in exact mode with equal splits and local friendship."""
     if game.mode != EXACT:
         raise InstanceError("forbidden edges are defined for exact mode")
     if not game.all_equal_split:
         raise InstanceError("forbidden edges are defined for equal splits")
     if not game.local_friendship:
         raise InstanceError("forbidden edges are defined for local friendship")
-    instance = corresponding_matching_game(game)
+
+
+def detect_forbidden_edges(game: ContributionGame, instance: Optional[GameInstance] = None) -> tuple[Edge, ...]:
+    """Edges whose endpoints each have a degree-1 pendant alternative and
+    would jointly defect to those pendants even from a saturated edge.
+
+    Defined for exact mode with equal splits and local friendship.
+    ``instance`` is the game's corresponding matching game, if already built.
+    """
+    require_forbidden_edges_defined(game)
+    if instance is None:
+        instance = corresponding_matching_game(game)
+
+    def best_pendant(node: int, excluded: int) -> Optional[Fraction]:
+        pendants = [x for x in game.graph.adjacency[node] if x != excluded and game.graph.degree(x) == 1]
+        return max((instance.edge_reward(node, x) for x in pendants), default=None)
+
     a = game.friendship.alpha1
     out = []
     for u, v in game.graph.edges:
-        def best_pendant(node: int, excluded: int) -> Optional[Fraction]:
-            best = None
-            for x in game.graph.adjacency[node]:
-                if x != excluded and game.graph.degree(x) == 1:
-                    r = instance.edge_reward(node, x)
-                    if best is None or r > best:
-                        best = r
-            return best
-
-        r_ux = best_pendant(u, v)
-        r_vy = best_pendant(v, u)
+        r_ux, r_vy = best_pendant(u, v), best_pendant(v, u)
         if r_ux is None or r_vy is None:
             continue
-        r_uv = instance.edge_reward(u, v)
-        lhs = r_uv + a * r_uv
+        lhs = (1 + a) * instance.edge_reward(u, v)
         if lhs < r_ux + a * r_ux + a * r_vy and lhs < r_vy + a * r_vy + a * r_ux:
             out.append((u, v))
     return tuple(out)
 
 
 def tight_budget_equilibrium(
-    game: ContributionGame, *, exact_max_n: int = DEFAULT_EXACT_LIMIT
+    game: ContributionGame,
+    *,
+    exact_max_n: int = DEFAULT_EXACT_LIMIT,
+    instance: Optional[GameInstance] = None,
+    forbidden: Optional[tuple[Edge, ...]] = None,
 ) -> StrategyProfile:
     """Spend-everything equilibrium from best-relaxed dynamics on the
     forbidden-edge-free reduction.
 
     Matched nodes saturate their matched edge; unmatched nodes spread their
     budget equally over all incident edges of the original graph.
+    ``instance`` (the corresponding game) and ``forbidden`` are reused if given.
     """
-    from .dynamics import run_brbp
-
-    forbidden = set(detect_forbidden_edges(game))
+    if instance is None:
+        instance = corresponding_matching_game(game)
+    if forbidden is None:
+        forbidden = detect_forbidden_edges(game, instance)
     if forbidden:
+        # Equal sharing holds no per-edge data, so only the edges and rewards shrink.
         keep = [i for i, e in enumerate(game.graph.edges) if e not in forbidden]
-        reduced_graph = Graph(game.graph.n, tuple(game.graph.edges[i] for i in keep))
-        reduced = ContributionGame(
-            graph=reduced_graph,
-            budgets=game.budgets,
-            functions=tuple(game.functions[i] for i in keep),
-            splits=tuple(game.splits[i] for i in keep),
-            friendship=game.friendship,
-            mode=ATMOST,  # reduction only feeds the matching game; budgets are re-imposed below
-            lam=game.lam,
-        )
-    else:
-        reduced = replace(game, mode=ATMOST)
-    instance = corresponding_matching_game(reduced)
+        graph = Graph(game.graph.n, tuple(game.graph.edges[i] for i in keep))
+        instance = replace(instance, graph=graph, rewards=tuple(instance.rewards[i] for i in keep))
     matched, _ = run_brbp(instance, exact_max_n=exact_max_n)
     return saturated_profile(game, matched)
+
+
+@dataclass(frozen=True)
+class ConstructedProfile:
+    """A profile the audit built, with its verdict and total reward."""
+
+    source: str  # "stable-matching-<i>" | "tight-budget"
+    profile: StrategyProfile
+    verdict: PEVerdict
+    total_reward: Fraction
 
 
 @dataclass(frozen=True)
@@ -737,6 +745,8 @@ class CCGAuditReport:
     bound: Fraction
     checked: bool  # False when no equilibrium was certified; passed is then False too
     passed: bool
+    constructed: tuple[ConstructedProfile, ...]  # certified or not; not serialised, like forbidden_edges
+    forbidden_edges: Optional[tuple[Edge, ...]]  # None unless the tight-budget profile was built
 
     def to_dict(self) -> dict:
         return {
@@ -778,54 +788,50 @@ def ccg_audit(
     """Compare every grid-certified equilibrium we can construct against the
     tight social optimum and flag violations of the anarchy bound 1+Q.
 
-    An audit that certifies no equilibrium is reported as unchecked, and
-    not as passed.
+    The report keeps each profile it constructs with its verdict.  An audit
+    that certifies no equilibrium is reported as unchecked, and not as passed.
     """
     _require_grid(grid_k)
     instance = corresponding_matching_game(game)
-    _, optimum = max_weight_matching(instance, max_n=exact_max_n)
-    q_param = compute_Q(instance)
-
+    forbidden: Optional[tuple[Edge, ...]] = None
     found: list[tuple[str, StrategyProfile]] = []
+    # Built before the optimum, so an oversized atmost game reports the enumeration cap.
     if game.mode == ATMOST:
         for i, matched in enumerate(enumerate_stable_matchings(instance, max_n=max_n)):
             found.append((f"stable-matching-{i}", saturated_profile(game, matched)))
     elif game.all_equal_split and game.local_friendship:
-        found.append(("tight-budget", tight_budget_equilibrium(game, exact_max_n=exact_max_n)))
+        forbidden = detect_forbidden_edges(game, instance)
+        profile = tight_budget_equilibrium(game, exact_max_n=exact_max_n, instance=instance, forbidden=forbidden)
+        found.append(("tight-budget", profile))
+    witness, optimum = max_weight_matching(instance, max_n=exact_max_n)
+    q_param = compute_Q(instance)
 
-    values: list[Fraction] = []
-    sources: list[str] = []
-    for source, profile in found:
-        if is_pairwise_equilibrium(game, profile, grid_k=grid_k).is_equilibrium:
-            values.append(total_reward(game, profile))
-            sources.append(source)
+    constructed = tuple(
+        ConstructedProfile(source, p, is_pairwise_equilibrium(game, p, grid_k=grid_k), total_reward(game, p))
+        for source, p in found
+    )
+    values = [c.total_reward for c in constructed if c.verdict.is_equilibrium]
+    sources = [c.source for c in constructed if c.verdict.is_equilibrium]
     # _local_search returns only a profile it has just certified.
-    searched = _local_search(game, tight_social_optimum(game, exact_max_n=exact_max_n), grid_k)
+    searched = _local_search(game, saturated_profile(game, witness), grid_k)
     if searched is not None:
         values.append(total_reward(game, searched))
         sources.append("local-search-optimum")
 
-    worst: Optional[Fraction] = None
-    checked = bool(values)
-    passed = checked
-    for value in values:
-        if value <= 0:
-            passed = False
-            continue
-        ratio = optimum / value
-        if worst is None or ratio > worst:
-            worst = ratio
-        if ratio > 1 + q_param:
-            passed = False
+    ratios = [optimum / value for value in values if value > 0]
+    # A certified equilibrium of value 0 fails the audit: its ratio is undefined.
+    passed = bool(values) and len(ratios) == len(values) and all(r <= 1 + q_param for r in ratios)
     return CCGAuditReport(
         optimum=optimum,
         equilibrium_values=tuple(values),
         equilibrium_sources=tuple(sources),
-        worst_ratio=worst,
+        worst_ratio=max(ratios, default=None),
         Q=q_param,
         bound=1 + q_param,
-        checked=checked,
+        checked=bool(values),
         passed=passed,
+        constructed=constructed,
+        forbidden_edges=forbidden,
     )
 
 

@@ -17,16 +17,13 @@ from typing import Optional, Sequence
 from . import generators
 from .ccg import (
     DEFAULT_GRID_K,
+    EXACT,
+    StrategyProfile,
     ccg_audit,
     ccg_from_json,
-    detect_forbidden_edges,
     is_pairwise_equilibrium,
-    matching_to_equilibrium,
-    StrategyProfile,
-    tight_budget_equilibrium,
+    require_forbidden_edges_defined,
     total_reward,
-    corresponding_matching_game,
-    EXACT,
 )
 from .dynamics import (
     ConvergenceError,
@@ -49,7 +46,6 @@ from .oracle import (
     DEFAULT_EXACT_LIMIT,
     SizeLimitError,
     audit_bounds,
-    enumerate_stable_matchings,
     max_weight_matching,
 )
 from .rationals import rat, rat_str
@@ -263,31 +259,27 @@ def cmd_ccg(args) -> int:
     if args.profile:
         profile = StrategyProfile.from_dict(json.loads(_read(args.profile)), game)
         verdict = is_pairwise_equilibrium(game, profile, grid_k=args.grid_k)
-        report["check"] = verdict.to_dict(game)
-        report["total_reward"] = rat_str(total_reward(game, profile))
+        report.update(check=verdict.to_dict(game), total_reward=rat_str(total_reward(game, profile)))
         _emit(report, args.format)
         return EXIT_OK if verdict.is_equilibrium else EXIT_NEGATIVE
 
-    enum_max_n, exact_max_n = _caps(args)
     if game.mode == EXACT:
-        report["forbidden_edges"] = [list(e) for e in detect_forbidden_edges(game)]
-        profile = tight_budget_equilibrium(game, exact_max_n=exact_max_n)
-    else:
-        instance = corresponding_matching_game(game)
-        stable = enumerate_stable_matchings(instance, max_n=enum_max_n)
-        if not stable:
-            report["equilibrium"] = None
-            report["note"] = "no stable matching in the corresponding game"
-            _emit(report, args.format)
-            return EXIT_NEGATIVE
-        profile = matching_to_equilibrium(game, stable[0])
-    verdict = is_pairwise_equilibrium(game, profile, grid_k=args.grid_k)
-    report["equilibrium"] = profile.to_dict(game)
-    report["total_reward"] = rat_str(total_reward(game, profile))
-    report["certified"] = verdict.to_dict(game)
-    report["audit"] = ccg_audit(game, max_n=enum_max_n, exact_max_n=exact_max_n, grid_k=args.grid_k).to_dict()
+        require_forbidden_edges_defined(game)  # before any cap is checked
+    enum_max_n, exact_max_n = _caps(args)
+    audit = ccg_audit(game, max_n=enum_max_n, exact_max_n=exact_max_n, grid_k=args.grid_k)
+    if audit.forbidden_edges is not None:
+        report["forbidden_edges"] = [list(e) for e in audit.forbidden_edges]
+    if not audit.constructed:
+        report.update(equilibrium=None, note="no stable matching in the corresponding game")
+        _emit(report, args.format)
+        return EXIT_NEGATIVE
+    first = audit.constructed[0]  # stable-matching-0, or tight-budget
+    report["equilibrium"] = first.profile.to_dict(game)
+    report["total_reward"] = rat_str(first.total_reward)
+    report["certified"] = first.verdict.to_dict(game)
+    report["audit"] = audit.to_dict()
     _emit(report, args.format)
-    return EXIT_OK if verdict.is_equilibrium else EXIT_NEGATIVE
+    return EXIT_OK if first.verdict.is_equilibrium else EXIT_NEGATIVE
 
 
 def cmd_check(args) -> int:
@@ -335,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instance", required=True, help="instance JSON path")
         p.add_argument("--alpha", help="override friendship vector, e.g. '1/2,1/4'")
         max_n(p)
-        p.add_argument("--format", choices=("json", "table"), default="json")
 
     # Only the chosen gadget's parser is built, in main: every call builds
     # this parser, and eight gadget parsers would cost more than the rest.
@@ -347,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=("brbp", "greedy", "srpq"), default="brbp")
     p.add_argument("--prefs", choices=("raw", "q"), help="greedy's keys (default: raw); not with brbp or srpq")
+    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("audit", help="enumerate the stable set and check bounds")
@@ -354,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance", help="instance JSON path")
     source.add_argument("--manifest", help="JSON array of instance paths to audit in order")
+    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("dynamics", help="run improvement dynamics, stream the trace")

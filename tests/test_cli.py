@@ -757,9 +757,9 @@ def test_ccg_rejections_and_which_error_wins(tmp_path, capsys, kwargs, max_n, er
     assert run(capsys, "ccg", "--game", str(gpath), *flags) == (1, "", err)
 
 
-def test_ccg_without_stable_matching_exit_2(tmp_path, capsys):
-    # The brand-value 5-cycle with friendship has no stable matching, and a
-    # product game with unit budgets and the same rewards corresponds to it.
+def nonexistence_game(tmp_path):
+    """A game whose corresponding game has no stable matching: the
+    brand-value 5-cycle with friendship, as product rewards on unit budgets."""
     gadget = gen_nonexistence_friendship_matthew()
     game = ContributionGame(
         graph=gadget.graph,
@@ -771,5 +771,72 @@ def test_ccg_without_stable_matching_exit_2(tmp_path, capsys):
     )
     gpath = tmp_path / "game.json"
     gpath.write_text(ccg_to_json(game))
+    return gpath
+
+
+def test_ccg_without_stable_matching_exit_2(tmp_path, capsys):
+    gpath = nonexistence_game(tmp_path)
     out = '{\n  "equilibrium": null,\n  "mode": "atmost",\n  "note": "no stable matching in the corresponding game"\n}\n'
     assert run(capsys, "ccg", "--game", str(gpath)) == (2, out, "")
+
+
+@pytest.mark.parametrize(
+    "name, checks",
+    [("ccg-atmost-equal", 3), ("ccg-atmost-matthew", 7), ("ccg-atmost-proportional", 2), ("ccg-exact-equal", 2)],
+)
+def test_ccg_command_derives_each_fact_once(monkeypatch, capsys, name, checks):
+    # The command reads its equilibrium from the audit's report. It used to
+    # build the corresponding game 4 (atmost) or 7 (exact) times and to
+    # certify its first profile a second time.
+    from socialmatch import ccg, cli
+
+    calls: dict = {}
+
+    def counted(module, fname):
+        original = getattr(module, fname)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(fname, []).append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, fname, wrapper)
+
+    for module in (ccg, cli):
+        for fname in (
+            "corresponding_matching_game",
+            "enumerate_stable_matchings",
+            "detect_forbidden_edges",
+            "tight_budget_equilibrium",
+            "max_weight_matching",  # run_brbp's own start DP is not counted
+            "is_pairwise_equilibrium",
+        ):
+            if hasattr(module, fname):
+                counted(module, fname)
+    gpath = GOLDEN / f"{name}.game.json"
+    game = ccg_from_json(gpath.read_text())
+    code, out, _ = run(capsys, "ccg", "--game", str(gpath))
+    assert (code, out) == (0, (GOLDEN / f"{name}.out").read_text())
+    assert [args[0] for args in calls["corresponding_matching_game"]].count(game) == 1
+    assert len(calls.get("enumerate_stable_matchings", [])) <= 1
+    assert len(calls.get("detect_forbidden_edges", [])) <= 1
+    assert len(calls.get("tight_budget_equilibrium", [])) <= 1
+    assert len(calls["max_weight_matching"]) == 1
+    assert len(calls["is_pairwise_equilibrium"]) == checks
+
+
+def test_dynamics_rejects_format(tmp_path, capsys):
+    # dynamics always streams JSONL: --format table exited 0 and was ignored.
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "path3", "--out", str(path))
+    code, out, err = run(capsys, "dynamics", "--instance", str(path), "--format", "table")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage:") and "unrecognized arguments: --format table" in err
+
+
+def test_ccg_grid_k_checked_without_stable_matching(tmp_path, capsys):
+    # With no stable matching to certify, --grid-k 0 used to be ignored: the
+    # command exited 2 with a null equilibrium.
+    gpath = nonexistence_game(tmp_path)
+    assert run(capsys, "ccg", "--game", str(gpath), "--grid-k", "0") == (
+        1, "", "error: grid_k must be at least 1, got 0\n"
+    )
