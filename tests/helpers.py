@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import random
 from collections import deque
 from functools import lru_cache
 from fractions import Fraction as F
 from typing import Optional, Sequence
 
+from socialmatch.ccg import DEFAULT_GRID_K
+from socialmatch.cli import (
+    GADGETS,
+    cmd_audit,
+    cmd_ccg,
+    cmd_check,
+    cmd_dynamics,
+    cmd_solve,
+)
+from socialmatch.cli import __doc__ as CLI_DOC
 from socialmatch.dynamics import TraceStep
 from socialmatch.instance import (
     Edge,
@@ -30,7 +41,7 @@ from socialmatch.matching import (
     matching_value,
     node_reward,
 )
-from socialmatch.oracle import DEFAULT_EXACT_LIMIT, SizeLimitError
+from socialmatch.oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, SizeLimitError
 from socialmatch.rationals import rescale
 from socialmatch.roommates import MODE_Q, MODE_RAW
 
@@ -312,3 +323,73 @@ ALPHA_SAMPLES = (
     (F(1), F(1)),
     (F(3, 4), F(1, 2), F(1, 4)),
 )
+
+
+def reference_cli_parser() -> argparse.ArgumentParser:
+    """``cli.build_parser`` as it was when it built all six subcommand parsers on every call."""
+    parser = argparse.ArgumentParser(prog="socialmatch", description=CLI_DOC)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def max_n(p):
+        p.add_argument(
+            "--max-n",
+            type=int,
+            dest="max_n",
+            help=f"node cap for both enumeration and the exact optimum "
+            f"(default: {DEFAULT_ENUM_LIMIT} and {DEFAULT_EXACT_LIMIT})",
+        )
+
+    def common(p, instance_required: bool = True):
+        if instance_required:
+            p.add_argument("--instance", required=True, help="instance JSON path")
+        p.add_argument("--alpha", help="override friendship vector, e.g. '1/2,1/4'")
+        max_n(p)
+
+    # Only the chosen gadget's parser is built, in main: every call builds
+    # this parser, and eight gadget parsers would cost more than the rest.
+    p = sub.add_parser("gen", help="generate a benchmark instance")
+    p.add_argument("gadget", choices=GADGETS)
+    p.add_argument("flags", nargs=argparse.REMAINDER, help="the gadget's flags; see gen GADGET --help")
+
+    p = sub.add_parser("solve", help="compute a stable matching")
+    common(p)
+    p.add_argument("--method", choices=("brbp", "greedy", "srpq"), default="brbp")
+    p.add_argument("--prefs", choices=("raw", "q"), help="greedy's keys (default: raw); not with brbp or srpq")
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(func=cmd_solve)
+
+    p = sub.add_parser("audit", help="enumerate the stable set and check bounds")
+    common(p, instance_required=False)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", help="instance JSON path")
+    source.add_argument("--manifest", help="JSON array of instance paths to audit in order")
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(func=cmd_audit)
+
+    p = sub.add_parser("dynamics", help="run improvement dynamics, stream the trace")
+    common(p)
+    p.add_argument("--method", choices=("brbp", "bbp", "arbitrary"), default="brbp")
+    p.add_argument("--start", help="'opt' (default), 'empty', or a matching JSON path; not with brbp")
+    p.add_argument("--seed", type=int, help="seed of --method arbitrary (default: 0); not with bbp or brbp")
+    p.add_argument("--cap", type=int, default=None)
+    p.set_defaults(func=cmd_dynamics)
+
+    p = sub.add_parser("ccg", help="contribution-game equilibria and audits")
+    p.add_argument("--game", required=True, help="contribution game JSON path")
+    p.add_argument("--profile", help="check this profile instead of constructing one; not with --max-n")
+    p.add_argument("--grid-k", type=int, default=DEFAULT_GRID_K, dest="grid_k")
+    max_n(p)
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(func=cmd_ccg)
+
+    p = sub.add_parser("check", help="certify a matching or a profile")
+    p.add_argument("--instance", help="instance JSON path")
+    p.add_argument("--matching", help="matching JSON path")
+    p.add_argument("--game", help="contribution game JSON path")
+    p.add_argument("--profile", help="profile JSON path")
+    p.add_argument("--alpha", help="override friendship vector")
+    p.add_argument("--grid-k", type=int, dest="grid_k", help=f"only with --game (default: {DEFAULT_GRID_K})")
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(func=cmd_check)
+
+    return parser

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,11 @@ import pytest
 
 import socialmatch
 from socialmatch.ccg import ContributionGame, RewardFunction, ccg_from_json, ccg_to_json
-from socialmatch.cli import main
+from socialmatch.cli import gadget_parser, main
 from socialmatch.generators import gen_nonexistence_friendship_matthew, gen_random_ccg
 from socialmatch.instance import FriendshipVector, instance_from_json
+
+from helpers import reference_cli_parser
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -840,3 +844,56 @@ def test_ccg_grid_k_checked_without_stable_matching(tmp_path, capsys):
     assert run(capsys, "ccg", "--game", str(gpath), "--grid-k", "0") == (
         1, "", "error: grid_k must be at least 1, got 0\n"
     )
+
+
+# Calls that argparse answers itself: help, and usage errors.
+USAGE_ARGV = (
+    [],
+    ["--help"],
+    ["-h"],
+    ["bogus"],
+    ["--bogus", "solve"],
+    ["-1"],
+    *([cmd, "--help"] for cmd in ("gen", "solve", "audit", "dynamics", "ccg", "check")),
+    ["gen"],
+    ["gen", "bogus"],
+    ["gen", "random", "--help"],
+    ["gen", "pos-tight", "--seed", "9"],
+    ["solve"],
+    ["solve", "--inst"],
+    ["solve", "--instance", "x.json", "--method", "bogus"],
+    ["solve", "--instance", "x.json", "--max-n", "abc"],
+    ["solve", "--instance", "x.json", "--bogus"],
+    ["solve", "--instance", "x.json", "--format", "xml"],
+    ["audit"],
+    ["audit", "--instance", "a.json", "--manifest", "b.json"],
+    ["dynamics", "--instance", "x.json", "--cap", "z"],
+    ["dynamics", "--instance", "x.json", "--format", "table"],
+    ["ccg"],
+    ["ccg", "--game", "g.json", "--grid-k", "q"],
+    ["check", "--format", "xml"],
+    ["check", "--grid-k"],
+)
+
+
+def _reference_usage(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = reference_cli_parser().parse_args(argv)
+            if args.command == "gen":
+                gadget_parser(args.gadget).parse_args(args.flags)
+            code = None
+        except SystemExit as exc:
+            code = 1 if exc.code not in (0, None) else 0
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
+def test_help_and_usage_errors_match_full_parser(argv, capsys, monkeypatch):
+    # main builds only the chosen subcommand's arguments; what argparse
+    # prints, and the exit code, must not tell.
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _reference_usage(argv)
+    assert expected[0] == (0 if "--help" in argv or "-h" in argv else 1)
+    assert run(capsys, *argv) == expected

@@ -97,6 +97,14 @@ COMMANDS = {
         ["solve", "--method", "greedy"],
         0,
     ),
+    # n=10⁴, m=50,298 under matthew sharing: pins the greedy extraction order
+    # and the integer matthew rewards at scale.  Raw keys ignore friendship,
+    # so the 4,558 pairs are not stable under alpha=(1/2, 1/4): exit 2.
+    "solve-greedy-matthew-n10000": (
+        ["random", "--seed", "5", "--n", "10000", "--density", "0.001", "--rule", "matthew", "--alpha", "1/2,1/4"],
+        ["solve", "--method", "greedy"],
+        2,
+    ),
     "solve-srpq-equal": (
         ["random", "--seed", "9", "--n", "10", "--alpha", "1/2"],
         ["solve", "--method", "srpq"],
