@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .rationals import InstanceError, rat, rat_str, rescale
+from .rationals import InstanceError, rat, rat_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,6 +28,18 @@ Edge = tuple[int, int]
 
 class UndefinedRatioError(ValueError):
     """Raised when a share ratio is undefined (some share is zero)."""
+
+
+def trust_rewards(
+    edges: Sequence[Edge], beta: Sequence[Fraction], h: Sequence[Fraction]
+) -> tuple[int, list[int]]:
+    """(D, sums): 2h_e + beta_u + beta_v for every edge e = (u, v), each times D,
+    the lcm of all the denominators of beta and h."""
+    unit = math.lcm(*(x.denominator for x in beta), *(x.denominator for x in h))
+    b = [x.numerator * (unit // x.denominator) for x in beta]
+    return unit, [
+        2 * x.numerator * (unit // x.denominator) + b[u] + b[v] for (u, v), x in zip(edges, h)
+    ]
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -242,11 +254,12 @@ class GameInstance:
             for i, h in enumerate(s.h):
                 if h < 0:
                     raise InstanceError(f"h of edge {self.graph.edges[i]} must be nonnegative")
-            for i, (u, v) in enumerate(self.graph.edges):
-                expected = 2 * s.h[i] + s.beta[u] + s.beta[v]
-                if self.rewards[i] != expected:
+            unit, sums = trust_rewards(self.graph.edges, s.beta, s.h)
+            for i, (r, total) in enumerate(zip(self.rewards, sums)):
+                if r.numerator * unit != total * r.denominator:
                     raise InstanceError(
-                        f"trust reward of edge {(u, v)} must be 2h+beta_u+beta_v={expected}, got {self.rewards[i]}"
+                        f"trust reward of edge {self.graph.edges[i]} must be "
+                        f"2h+beta_u+beta_v={Fraction(total, unit)}, got {r}"
                     )
         elif not isinstance(s, EqualSharing):
             raise InstanceError(f"unknown sharing rule {s!r}")
@@ -264,33 +277,65 @@ class GameInstance:
 
         Shares always sum to the edge reward; under equal sharing each is half.
         """
-        out = []
         s = self.sharing
-        for i, (u, v) in enumerate(self.graph.edges):
-            r = self.rewards[i]
-            if isinstance(s, EqualSharing):
-                out.append((r / 2, r / 2))
-            elif isinstance(s, ObliviousSharing):
-                out.append(s.shares[i])
-            elif isinstance(s, MatthewSharing):
-                tot = s.lam[u] + s.lam[v]
-                out.append((s.lam[u] / tot * r, s.lam[v] / tot * r))
-            elif isinstance(s, ParasiteSharing):
-                tot = s.lam[u] + s.lam[v]
-                out.append((s.lam[v] / tot * r, s.lam[u] / tot * r))
-            else:
-                assert isinstance(s, TrustSharing)
-                out.append((s.h[i] + s.beta[v], s.h[i] + s.beta[u]))
-        return tuple(out)
+        if isinstance(s, EqualSharing):
+            return tuple((r / 2, r / 2) for r in self.rewards)
+        if isinstance(s, ObliviousSharing):
+            return tuple(s.shares)
+        values = iter(map(Fraction, *self._endpoint_ratios))
+        return tuple(zip(values, values))
 
-    def _endpoint_rewards(self) -> Sequence[tuple[Fraction, Fraction]]:
-        """Per edge (u, v) with u < v: what u and v collect when it is matched.
+    @cached_property
+    def _endpoint_ratios(self) -> tuple[list[int], list[int]]:
+        """(numerators, denominators) of what u and v collect when edge (u, v)
+        is matched, two entries per edge in edge order, each pair reduced.
 
         That is their share, except under equal sharing, where both matched
         players enjoy the full edge reward r_e.  The two conventions differ
         by a uniform factor of two for equal sharing, so all
-        strict-inequality verdicts agree either way.
+        strict-inequality verdicts agree either way.  Derived with ``int``
+        operations from the numerators and denominators of the inputs: with
+        r = a/b and lambda_x = p_x/q_x, u's matthew share is
+        p_u q_v a / ((p_u q_v + p_v q_u) b), parasite swaps the two weights,
+        and u's trust share h + beta_v is (h_n d_v + n_v h_d) / (h_d d_v).
         """
+        s = self.sharing
+        nums: list[int] = []
+        dens: list[int] = []
+        if isinstance(s, (EqualSharing, ObliviousSharing)):
+            ends = ((r, r) for r in self.rewards) if isinstance(s, EqualSharing) else s.shares
+            for pair in ends:
+                for x in pair:
+                    nums.append(x.numerator)
+                    dens.append(x.denominator)
+            return nums, dens
+        gcd = math.gcd
+        if isinstance(s, TrustSharing):
+            beta = s.beta
+            for (u, v), h in zip(self.graph.edges, s.h):
+                hn, hd = h.numerator, h.denominator
+                for b in (beta[v], beta[u]):
+                    num, den = hn * b.denominator + b.numerator * hd, hd * b.denominator
+                    g = gcd(num, den)
+                    nums.append(num // g)
+                    dens.append(den // g)
+            return nums, dens
+        lam = s.lam
+        parasite = isinstance(s, ParasiteSharing)
+        for (u, v), r in zip(self.graph.edges, self.rewards):
+            wu = lam[u].numerator * lam[v].denominator
+            wv = lam[v].numerator * lam[u].denominator
+            den = (wu + wv) * r.denominator
+            for w in ((wv, wu) if parasite else (wu, wv)):
+                num = w * r.numerator
+                g = gcd(num, den)
+                nums.append(num // g)
+                dens.append(den // g)
+        return nums, dens
+
+    def _endpoint_rewards(self) -> Sequence[tuple[Fraction, Fraction]]:
+        """Per edge (u, v) with u < v: what u and v collect when it is matched,
+        as ``Fraction``s; see ``_endpoint_ratios``."""
         if isinstance(self.sharing, EqualSharing):
             return [(r, r) for r in self.rewards]
         return self.shares
@@ -322,8 +367,9 @@ class GameInstance:
         among the entries and their sums; the rational value of an entry is
         ``Fraction(entry, S)``.  Built on first use with ``int`` operations.
         """
-        ends = self._endpoint_rewards()
-        unit, scaled = rescale(e for pair in ends for e in pair)
+        nums, dens = self._endpoint_ratios
+        unit = math.lcm(*dens)
+        scaled = [a * (unit // b) for a, b in zip(nums, dens)]
         a1, a2 = self.friendship.alpha1, self.friendship.alpha2
         den = math.lcm(a1.denominator, a2.denominator)
         c1 = a1.numerator * (den // a1.denominator)
@@ -443,13 +489,14 @@ def instance_from_dict(doc: dict) -> GameInstance:
             h_in = [rat(x) for x in sharing_doc["h"]]
             h = tuple(h_in[i] for i in order)
             sharing = TrustSharing(beta=beta, h=h)
+            unit, sums = trust_rewards(graph.edges, beta, h)
             rewards = []
-            for i, (u, v) in enumerate(graph.edges):
-                derived = 2 * h[i] + beta[u] + beta[v]
+            for i, total in enumerate(sums):
+                derived = Fraction(total, unit)
                 stated = raw_edges[order[i]].get("r")
                 if stated is not None and rat(stated) != derived:
                     raise InstanceError(
-                        f"trust edge {(u, v)}: stated reward {stated} != 2h+beta_u+beta_v={derived}"
+                        f"trust edge {graph.edges[i]}: stated reward {stated} != 2h+beta_u+beta_v={derived}"
                     )
                 rewards.append(derived)
         else:

@@ -8,6 +8,7 @@ certifies stability under friendship.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -166,7 +167,9 @@ def _preference_cycle(instance: GameInstance, keys: tuple[dict[int, int], ...]) 
 
 @dataclass(frozen=True)
 class GreedyStats:
-    """Edge scans per extracted pair; each round is at most one pass over E."""
+    """Edges touched per extracted pair: the pair's own edge, and each
+    preference-list entry the pointers pass over.  Each edge is touched at
+    most once in a run, so the entries sum to at most |E|."""
 
     edge_scans: tuple[int, ...]
 
@@ -181,8 +184,13 @@ def greedy_mutual_best(
 
     Requires cycle-free preferences, and raises ``PreferenceCycleError``
     otherwise; the output is stable in the key's preference semantics.
-    Each extraction scans the remaining edges once, so total work is
-    O(|V| |E|).
+    Each extraction takes the smallest node that has a mutually best
+    partner.  Every node keeps a pointer to its best live neighbour in its
+    sorted preference list, and a heap holds the nodes whose best prefers
+    them back; after a pair leaves, only the nodes that pointed at it, and
+    the nodes that point at those, are looked at again.  Pointers only move
+    forward, so all extractions together read each list entry once; each
+    node looked at again costs one heap push, O(log |V|).
     """
     return _greedy(instance, _key_table(instance, mode), return_stats)
 
@@ -191,47 +199,58 @@ def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], return_sta
     cycle = _preference_cycle(instance, keys)
     if cycle is not None:
         raise PreferenceCycleError(cycle)
-    graph = instance.graph
-    alive = [True] * graph.n
+    n = instance.graph.n
+    # Each live node points at its best live neighbour: the first live entry
+    # of its list, sorted by (-key, id) as in ``preference_profile``.
+    lists = [sorted(row, key=lambda y: (-row[y], y)) for row in keys]
+    pos = [0] * n
+    best = [lst[0] if lst else -1 for lst in lists]
+    fans: list[set[int]] = [set() for _ in range(n)]  # fans[w]: live nodes whose best is w
+    for v, b in enumerate(best):
+        if b >= 0:
+            fans[b].add(v)
+    alive = [True] * n
+
+    def ready(v: int) -> bool:
+        # v and its best b are mutually most preferred: v ties b's best key.
+        b = best[v]
+        return b >= 0 and keys[b][v] == keys[b][best[b]]
+
+    # Every ready node is on the heap; an entry that stopped being ready is
+    # dropped when popped.  A ready node stays ready until it or its best
+    # leaves: its best's next best cannot outrank it.
+    heap = [v for v in range(n) if ready(v)]
     pairs: list[tuple[int, int]] = []
     scans: list[int] = []
-    while True:
-        # One pass over the remaining edges: each node's best key and its
-        # smallest best neighbor.  Sorted edge order visits every node's
-        # neighbors in increasing id, so "first attaining" = smallest id.
-        best_key: dict[int, int] = {}
-        best_partner: dict[int, int] = {}
-        scanned = 0
-        for u, v in graph.edges:
-            if alive[u] and alive[v]:
-                scanned += 1
-                ku = keys[u][v]
-                kv = keys[v][u]
-                if u not in best_key or ku > best_key[u]:
-                    best_key[u] = ku
-                    best_partner[u] = v
-                if v not in best_key or kv > best_key[v]:
-                    best_key[v] = kv
-                    best_partner[v] = u
-        if not best_key:
-            break
-        # A pair (u, b) is mutually most preferred when u also attains b's
-        # best key; cycle-free preferences guarantee one exists.
-        chosen = None
-        for u in sorted(best_key):
-            b = best_partner[u]
-            if keys[b][u] == best_key[b]:
-                chosen = (u, b)
-                break
-        if chosen is None:
-            raise RuntimeError(
-                "no mutual-best pair although edges remain; preferences must contain a cycle"
-            )
-        pairs.append(chosen)
-        scans.append(scanned)
-        alive[chosen[0]] = False
-        alive[chosen[1]] = False
-    matching = Matching.of(graph.n, pairs)
+    while heap:
+        u = heapq.heappop(heap)
+        if not alive[u] or not ready(u):
+            continue
+        b = best[u]
+        pairs.append((u, b))
+        alive[u] = alive[b] = False
+        fans[b].discard(u)
+        fans[best[b]].discard(b)
+        moved = fans[u] | fans[b]  # live nodes whose best just left
+        touched = 1  # the pair's edge, then each list entry a pointer passes
+        recheck = set(moved)
+        for v in moved:
+            lst, p = lists[v], pos[v]
+            while p < len(lst) and not alive[lst[p]]:
+                p += 1
+            touched += p - pos[v]
+            pos[v] = p
+            best[v] = lst[p] if p < len(lst) else -1
+            if best[v] >= 0:
+                fans[best[v]].add(v)
+            recheck |= fans[v]
+        for v in recheck:
+            if ready(v):
+                heapq.heappush(heap, v)
+        scans.append(touched)
+    if any(alive[v] and best[v] >= 0 for v in range(n)):
+        raise RuntimeError("no mutual-best pair although edges remain; preferences must contain a cycle")
+    matching = Matching.of(n, pairs)
     if return_stats:
         return matching, GreedyStats(edge_scans=tuple(scans))
     return matching

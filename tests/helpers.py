@@ -43,7 +43,7 @@ from socialmatch.matching import (
 )
 from socialmatch.oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, SizeLimitError
 from socialmatch.rationals import rescale
-from socialmatch.roommates import MODE_Q, MODE_RAW
+from socialmatch.roommates import MODE_Q, MODE_RAW, GreedyStats, PreferenceCycleError, _preference_cycle
 
 PATH3 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
@@ -393,3 +393,54 @@ def reference_cli_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     return parser
+
+
+def rescan_greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], return_stats: bool = False):
+    """``roommates._greedy`` as it was when each extraction rescanned every live edge: the reference."""
+    cycle = _preference_cycle(instance, keys)
+    if cycle is not None:
+        raise PreferenceCycleError(cycle)
+    graph = instance.graph
+    alive = [True] * graph.n
+    pairs: list[tuple[int, int]] = []
+    scans: list[int] = []
+    while True:
+        # One pass over the remaining edges: each node's best key and its
+        # smallest best neighbor.  Sorted edge order visits every node's
+        # neighbors in increasing id, so "first attaining" = smallest id.
+        best_key: dict[int, int] = {}
+        best_partner: dict[int, int] = {}
+        scanned = 0
+        for u, v in graph.edges:
+            if alive[u] and alive[v]:
+                scanned += 1
+                ku = keys[u][v]
+                kv = keys[v][u]
+                if u not in best_key or ku > best_key[u]:
+                    best_key[u] = ku
+                    best_partner[u] = v
+                if v not in best_key or kv > best_key[v]:
+                    best_key[v] = kv
+                    best_partner[v] = u
+        if not best_key:
+            break
+        # A pair (u, b) is mutually most preferred when u also attains b's
+        # best key; cycle-free preferences guarantee one exists.
+        chosen = None
+        for u in sorted(best_key):
+            b = best_partner[u]
+            if keys[b][u] == best_key[b]:
+                chosen = (u, b)
+                break
+        if chosen is None:
+            raise RuntimeError(
+                "no mutual-best pair although edges remain; preferences must contain a cycle"
+            )
+        pairs.append(chosen)
+        scans.append(scanned)
+        alive[chosen[0]] = False
+        alive[chosen[1]] = False
+    matching = Matching.of(graph.n, pairs)
+    if return_stats:
+        return matching, GreedyStats(edge_scans=tuple(scans))
+    return matching

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,6 +14,8 @@ from socialmatch.instance import (
     Graph,
     InstanceError,
     MatthewSharing,
+    ObliviousSharing,
+    ParasiteSharing,
     TrustSharing,
     UndefinedRatioError,
     compute_Q,
@@ -23,6 +27,7 @@ from helpers import ALPHA_SAMPLES, PATH3, build_distances, dense_perceived, obli
 from socialmatch.ccg import ContributionGame, RewardFunction, StrategyProfile, node_rewards, perceived_utilities
 from socialmatch.generators import gen_matthew_poa_tight, gen_random
 from socialmatch.matching import Matching, perceived_utility, utility_profile
+from socialmatch.rationals import rescale
 
 
 def test_distances_single_edge():
@@ -356,3 +361,97 @@ def test_single_edge_share_and_q_identities(r, t, a1):
     assert q0 + q1 == (1 + a1) * r
     if q0 > 0 and q1 > 0:
         assert max(q0 / q1, q1 / q0) <= compute_Q(inst)
+
+
+def _fraction_shares(instance):
+    """The shares by each rule's formula, restated in ``Fraction``s."""
+    s = instance.sharing
+    out = []
+    for i, (u, v) in enumerate(instance.graph.edges):
+        r = instance.rewards[i]
+        if s.rule == "equal":
+            out.append((r / 2, r / 2))
+        elif s.rule == "oblivious":
+            out.append(tuple(s.shares[i]))
+        elif s.rule in ("matthew", "parasite"):
+            tot = s.lam[u] + s.lam[v]
+            mine, theirs = (s.lam[u] / tot * r, s.lam[v] / tot * r)
+            out.append((mine, theirs) if s.rule == "matthew" else (theirs, mine))
+        else:
+            out.append((s.h[i] + s.beta[v], s.h[i] + s.beta[u]))
+    return tuple(out)
+
+
+def _assert_images_match(instance):
+    shares = _fraction_shares(instance)
+    assert instance.shares == shares
+    assert all(type(x) is F for pair in instance.shares for x in pair)
+    ends = [(r, r) for r in instance.rewards] if instance.sharing.rule == "equal" else shares
+    a1, a2 = instance.friendship.alpha1, instance.friendship.alpha2
+    unit, _ = rescale(e for pair in ends for e in pair)
+    scale, table = instance.verdict_table
+    assert scale == unit * math.lcm(a1.denominator, a2.denominator)
+    for (u, v), (eu, ev) in zip(instance.graph.edges, ends):
+        for x, y, ex, ey in ((u, v, eu, ev), (v, u, ev, eu)):
+            terms = tuple(F(t, scale) for t in table[x][y])
+            assert terms == (ex + a1 * ey, ex, a1 * ex, a1 * ey, a2 * ey)
+
+
+COPRIME = (F(1, 2), F(2, 3), F(4, 5), F(6, 7), F(10, 11), F(12, 13))
+
+
+@pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
+def test_endpoint_images_match_fraction_shares(rule):
+    # The integer images of the endpoint rewards, and the Fraction shares read
+    # from them, equal the per-rule formula evaluated in Fractions.
+    for seed in range(12):
+        alpha = ALPHA_SAMPLES[seed % len(ALPHA_SAMPLES)]
+        _assert_images_match(gen_random(seed=seed, n=9, density=0.5, rule=rule, alpha=alpha))
+    # Pairwise coprime denominators, so no two of them share a factor.
+    graph = Graph(6, ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)))
+    rewards = (F(3, 17), F(5, 19), F(7, 23), F(1, 29), F(9, 31), F(2))
+    if rule == "equal":
+        sharing = EqualSharing()
+    elif rule in ("matthew", "parasite"):
+        sharing = (MatthewSharing if rule == "matthew" else ParasiteSharing)(lam=COPRIME)
+    elif rule == "trust":
+        h = (F(1, 37), F(0), F(2, 41), F(3, 43), F(1, 47), F(5))
+        sharing = TrustSharing(beta=COPRIME, h=h)
+        rewards = tuple(2 * h[i] + COPRIME[u] + COPRIME[v] for i, (u, v) in enumerate(graph.edges))
+    else:
+        sharing = ObliviousSharing(shares=tuple((r * COPRIME[i], r * (1 - COPRIME[i])) for i, r in enumerate(rewards)))
+    _assert_images_match(GameInstance(graph, rewards, sharing, FriendshipVector((F(3, 53), F(1, 59)))))
+
+
+def test_endpoint_images_zero_shares():
+    # Zero oblivious shares and zero trust shares (h = 0 and beta = 0).
+    _assert_images_match(oblivious_instance(PATH3, {(0, 1): (0, 3), (1, 2): (F(1, 2), 0), (2, 3): (F(2, 3), F(1, 3))}))
+    trust = GameInstance(
+        PATH3,
+        (F(1, 2), F(1, 2), F(2, 3)),
+        TrustSharing(beta=(F(0), F(0), F(1, 2), F(1, 6)), h=(F(1, 4), F(0), F(0))),
+        FriendshipVector((F(1, 2),)),
+    )
+    _assert_images_match(trust)
+    assert trust.shares[1] == (F(1, 2), F(0))
+
+
+def test_trust_reward_contradiction_messages():
+    doc = {
+        "nodes": 3,
+        "edges": [{"u": 2, "v": 0, "r": "5"}, {"u": 1, "v": 0}],
+        "sharing": {"rule": "trust", "beta": ["1/2", "1/3", "1/7"], "h": ["1/5", "0"]},
+    }
+    with pytest.raises(InstanceError) as exc:
+        instance_from_json(json.dumps(doc))
+    assert str(exc.value) == "trust edge (0, 2): stated reward 5 != 2h+beta_u+beta_v=73/70"
+    doc["edges"][0]["r"] = "73/70"
+    assert instance_from_json(json.dumps(doc)).rewards == (F(5, 6), F(73, 70))
+    with pytest.raises(InstanceError) as exc:
+        GameInstance(
+            Graph(3, ((0, 1), (0, 2))),
+            (F(5, 6), F(5)),
+            TrustSharing(beta=(F(1, 2), F(1, 3), F(1, 7)), h=(F(0), F(1, 5))),
+            FriendshipVector(),
+        )
+    assert str(exc.value) == "trust reward of edge (0, 2) must be 2h+beta_u+beta_v=73/70, got 5"

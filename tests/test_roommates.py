@@ -16,7 +16,15 @@ from socialmatch.roommates import (
     preference_profile,
     solve_srp_q,
 )
-from helpers import ALPHA_SAMPLES, PATH3, bfs_preference_cycle, equal_instance, exact_key, oblivious_instance
+from helpers import (
+    ALPHA_SAMPLES,
+    PATH3,
+    bfs_preference_cycle,
+    equal_instance,
+    exact_key,
+    oblivious_instance,
+    rescan_greedy,
+)
 from socialmatch.generators import (
     gen_cyclic_triangle,
     gen_matthew_poa_tight,
@@ -251,3 +259,28 @@ def test_key_table_built_once_per_call(monkeypatch):
     # Cyclic q-preferences: the detector and the enumeration share one table.
     assert solve_srp_q(gen_cyclic_triangle()) is None
     assert builds == [MODE_Q]
+
+
+@pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
+def test_worklist_greedy_matches_rescan(rule):
+    # The worklist extracts the same pairs as a rescan of every live edge per
+    # pair, and raises the same cycle witness.
+    for i, n in enumerate((2, 3, 4, 5, 7, 9, 12, 16, 25, 40, 61, 90, 130, 200)):
+        for density in (0.9, 0.3, min(0.9, 4 / n)):
+            inst = gen_random(seed=100 * i + n, n=n, density=density, rule=rule, alpha=ALPHA_SAMPLES[i % len(ALPHA_SAMPLES)])
+            m = len(inst.graph.edges)
+            if m > 2500:
+                continue
+            for mode in (MODE_RAW, MODE_Q):
+                keys = _key_table(inst, mode)
+                try:
+                    expected = rescan_greedy(inst, keys, True)
+                except PreferenceCycleError as exc:
+                    with pytest.raises(PreferenceCycleError) as got:
+                        greedy_mutual_best(inst, mode)
+                    assert got.value.cycle == exc.cycle
+                    continue
+                matched, stats = greedy_mutual_best(inst, mode, return_stats=True)
+                assert matched.pairs == expected[0].pairs, (n, density, mode)
+                assert len(stats.edge_scans) == len(matched.pairs)
+                assert min(stats.edge_scans, default=1) >= 1 and sum(stats.edge_scans) <= m
