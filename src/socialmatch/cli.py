@@ -151,6 +151,17 @@ GADGET_FLAGS = {
 }
 
 
+# name -> help line, in the order of the top-level help.
+SUBCOMMANDS = {
+    "gen": "generate a benchmark instance",
+    "solve": "compute a stable matching",
+    "audit": "enumerate the stable set and check bounds",
+    "dynamics": "run improvement dynamics, stream the trace",
+    "ccg": "contribution-game equilibria and audits",
+    "check": "certify a matching or a profile",
+}
+
+
 def cmd_solve(args) -> int:
     if args.prefs is not None and args.method != "greedy":
         print(f"--prefs applies only to --method greedy, not {args.method}", file=sys.stderr)
@@ -309,7 +320,13 @@ def cmd_check(args) -> int:
     return EXIT_ERROR
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The CLI's parser: all six subcommands are registered, but only
+    ``command``'s arguments are built, since each call runs one of them.
+
+    What the others' arguments are does not show in the top-level help or
+    its errors.  Likewise only the chosen gadget's parser is built, in main.
+    """
     parser = argparse.ArgumentParser(prog="socialmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,53 +345,55 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", help="override friendship vector, e.g. '1/2,1/4'")
         max_n(p)
 
-    # Only the chosen gadget's parser is built, in main: every call builds
-    # this parser, and eight gadget parsers would cost more than the rest.
-    p = sub.add_parser("gen", help="generate a benchmark instance")
-    p.add_argument("gadget", choices=GADGETS)
-    p.add_argument("flags", nargs=argparse.REMAINDER, help="the gadget's flags; see gen GADGET --help")
+    def gen(p):
+        p.add_argument("gadget", choices=GADGETS)
+        p.add_argument("flags", nargs=argparse.REMAINDER, help="the gadget's flags; see gen GADGET --help")
 
-    p = sub.add_parser("solve", help="compute a stable matching")
-    common(p)
-    p.add_argument("--method", choices=("brbp", "greedy", "srpq"), default="brbp")
-    p.add_argument("--prefs", choices=("raw", "q"), help="greedy's keys (default: raw); not with brbp or srpq")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_solve)
+    def solve(p):
+        common(p)
+        p.add_argument("--method", choices=("brbp", "greedy", "srpq"), default="brbp")
+        p.add_argument("--prefs", choices=("raw", "q"), help="greedy's keys (default: raw); not with brbp or srpq")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("audit", help="enumerate the stable set and check bounds")
-    common(p, instance_required=False)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--instance", help="instance JSON path")
-    source.add_argument("--manifest", help="JSON array of instance paths to audit in order")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_audit)
+    def audit(p):
+        common(p, instance_required=False)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--instance", help="instance JSON path")
+        source.add_argument("--manifest", help="JSON array of instance paths to audit in order")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("dynamics", help="run improvement dynamics, stream the trace")
-    common(p)
-    p.add_argument("--method", choices=("brbp", "bbp", "arbitrary"), default="brbp")
-    p.add_argument("--start", help="'opt' (default), 'empty', or a matching JSON path; not with brbp")
-    p.add_argument("--seed", type=int, help="seed of --method arbitrary (default: 0); not with bbp or brbp")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_dynamics)
+    def dynamics(p):
+        common(p)
+        p.add_argument("--method", choices=("brbp", "bbp", "arbitrary"), default="brbp")
+        p.add_argument("--start", help="'opt' (default), 'empty', or a matching JSON path; not with brbp")
+        p.add_argument("--seed", type=int, help="seed of --method arbitrary (default: 0); not with bbp or brbp")
+        p.add_argument("--cap", type=int, default=None)
+        p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("ccg", help="contribution-game equilibria and audits")
-    p.add_argument("--game", required=True, help="contribution game JSON path")
-    p.add_argument("--profile", help="check this profile instead of constructing one; not with --max-n")
-    p.add_argument("--grid-k", type=int, default=DEFAULT_GRID_K, dest="grid_k")
-    max_n(p)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_ccg)
+    def ccg(p):
+        p.add_argument("--game", required=True, help="contribution game JSON path")
+        p.add_argument("--profile", help="check this profile instead of constructing one; not with --max-n")
+        p.add_argument("--grid-k", type=int, default=DEFAULT_GRID_K, dest="grid_k")
+        max_n(p)
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(func=cmd_ccg)
 
-    p = sub.add_parser("check", help="certify a matching or a profile")
-    p.add_argument("--instance", help="instance JSON path")
-    p.add_argument("--matching", help="matching JSON path")
-    p.add_argument("--game", help="contribution game JSON path")
-    p.add_argument("--profile", help="profile JSON path")
-    p.add_argument("--alpha", help="override friendship vector")
-    p.add_argument("--grid-k", type=int, dest="grid_k", help=f"only with --game (default: {DEFAULT_GRID_K})")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_check)
+    def check(p):
+        p.add_argument("--instance", help="instance JSON path")
+        p.add_argument("--matching", help="matching JSON path")
+        p.add_argument("--game", help="contribution game JSON path")
+        p.add_argument("--profile", help="profile JSON path")
+        p.add_argument("--alpha", help="override friendship vector")
+        p.add_argument("--grid-k", type=int, dest="grid_k", help=f"only with --game (default: {DEFAULT_GRID_K})")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(func=cmd_check)
 
+    for name, build in zip(SUBCOMMANDS, (gen, solve, audit, dynamics, ccg, check)):
+        p = sub.add_parser(name, help=SUBCOMMANDS[name])
+        if name == command:
+            build(p)
     return parser
 
 
@@ -391,7 +410,11 @@ def gadget_parser(name: str) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so its first
+    # positional is the subcommand: the first name of one in argv, or an
+    # error that prints no subcommand's arguments.
+    parser = build_parser(next((a for a in argv if a in SUBCOMMANDS), None))
     try:
         args = parser.parse_args(argv)
         if args.command == "gen":
