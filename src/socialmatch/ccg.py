@@ -34,7 +34,7 @@ from .instance import (
     perceive,
 )
 from .dynamics import run_brbp
-from .matching import Matching, is_stable
+from .matching import Matching
 from .oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, enumerate_stable_matchings, max_weight_matching
 from .rationals import rat, rat_str, rescale
 
@@ -50,10 +50,6 @@ SPLIT_MATTHEW = "matthew"
 SPLIT_PROPORTIONAL = "proportional"
 
 DEFAULT_GRID_K = 8
-
-
-class NotStableError(ValueError):
-    """The supplied matching is not stable in the corresponding game."""
 
 
 @dataclass(frozen=True)
@@ -299,20 +295,6 @@ def saturated_profile(game: ContributionGame, matching: Matching) -> StrategyPro
             for ei in incident:
                 rows[v][ei] = share
     return StrategyProfile.build(game, rows)
-
-
-def matching_to_equilibrium(game: ContributionGame, matching: Matching) -> StrategyProfile:
-    """Realize a stable matching of the corresponding game as a profile.
-
-    Only meaningful without the spend-everything constraint; the matching
-    is checked for stability first.
-    """
-    if game.mode != ATMOST:
-        raise InstanceError("matching_to_equilibrium applies to atmost-mode games")
-    verdict = is_stable(corresponding_matching_game(game), matching)
-    if not verdict.stable:
-        raise NotStableError(f"matching is blocked by {verdict.blocking_pairs}")
-    return saturated_profile(game, matching)
 
 
 @dataclass(frozen=True)
@@ -651,14 +633,6 @@ def is_pairwise_equilibrium(
     if witness is None:
         return PEVerdict(is_equilibrium=True, certificate="grid-certified", grid_k=grid_k, witness=None)
     return PEVerdict(is_equilibrium=False, certificate="witness", grid_k=grid_k, witness=witness)
-
-
-def tight_social_optimum(game: ContributionGame, *, exact_max_n: int = DEFAULT_EXACT_LIMIT) -> StrategyProfile:
-    """Optimal-value profile that saturates a maximum-weight matching of the
-    corresponding game; its total reward equals the matching optimum."""
-    instance = corresponding_matching_game(game)
-    witness, _ = max_weight_matching(instance, max_n=exact_max_n)
-    return saturated_profile(game, witness)
 
 
 def require_forbidden_edges_defined(game: ContributionGame) -> None:

@@ -9,7 +9,14 @@ from functools import lru_cache
 from fractions import Fraction as F
 from typing import Optional, Sequence
 
-from socialmatch.ccg import DEFAULT_GRID_K
+from socialmatch.ccg import (
+    ATMOST,
+    DEFAULT_GRID_K,
+    ContributionGame,
+    StrategyProfile,
+    corresponding_matching_game,
+    saturated_profile,
+)
 from socialmatch.cli import (
     GADGETS,
     cmd_audit,
@@ -26,6 +33,7 @@ from socialmatch.instance import (
     FriendshipVector,
     GameInstance,
     Graph,
+    InstanceError,
     ObliviousSharing,
     normalize_edge,
 )
@@ -38,10 +46,11 @@ from socialmatch.matching import (
     apply_deviation,
     blocking_pairs,
     deviation_for,
+    is_stable,
     matching_value,
     node_reward,
 )
-from socialmatch.oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, SizeLimitError
+from socialmatch.oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, SizeLimitError, max_weight_matching
 from socialmatch.rationals import rescale
 from socialmatch.roommates import MODE_Q, MODE_RAW, GreedyStats, PreferenceCycleError, _preference_cycle
 
@@ -444,3 +453,29 @@ def rescan_greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], retu
     if return_stats:
         return matching, GreedyStats(edge_scans=tuple(scans))
     return matching
+
+
+class NotStableError(ValueError):
+    """The supplied matching is not stable in the corresponding game."""
+
+
+def matching_to_equilibrium(game: ContributionGame, matching: Matching) -> StrategyProfile:
+    """Realize a stable matching of the corresponding game as a profile.
+
+    Only meaningful without the spend-everything constraint; the matching
+    is checked for stability first.
+    """
+    if game.mode != ATMOST:
+        raise InstanceError("matching_to_equilibrium applies to atmost-mode games")
+    verdict = is_stable(corresponding_matching_game(game), matching)
+    if not verdict.stable:
+        raise NotStableError(f"matching is blocked by {verdict.blocking_pairs}")
+    return saturated_profile(game, matching)
+
+
+def tight_social_optimum(game: ContributionGame, *, exact_max_n: int = DEFAULT_EXACT_LIMIT) -> StrategyProfile:
+    """Optimal-value profile that saturates a maximum-weight matching of the
+    corresponding game; its total reward equals the matching optimum."""
+    instance = corresponding_matching_game(game)
+    witness, _ = max_weight_matching(instance, max_n=exact_max_n)
+    return saturated_profile(game, witness)

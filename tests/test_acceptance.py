@@ -19,9 +19,7 @@ from socialmatch.ccg import (
     corresponding_matching_game,
     detect_forbidden_edges,
     is_pairwise_equilibrium,
-    matching_to_equilibrium,
     tight_budget_equilibrium,
-    tight_social_optimum,
     total_reward,
 )
 from socialmatch.cli import main as cli_main
@@ -57,6 +55,8 @@ from socialmatch.generators import (
     gen_random,
     gen_random_ccg,
 )
+
+from helpers import matching_to_equilibrium, tight_social_optimum
 
 ALPHA_PALETTE = (
     (),

@@ -8,7 +8,6 @@ from socialmatch.ccg import (
     DEFAULT_GRID_K,
     EXACT,
     ContributionGame,
-    NotStableError,
     RewardFunction,
     StrategyProfile,
     ccg_audit,
@@ -18,12 +17,10 @@ from socialmatch.ccg import (
     corresponding_matching_game,
     detect_forbidden_edges,
     is_pairwise_equilibrium,
-    matching_to_equilibrium,
     node_rewards,
     perceived_utilities,
     saturated_profile,
     tight_budget_equilibrium,
-    tight_social_optimum,
     total_reward,
 )
 from socialmatch.instance import (
@@ -37,6 +34,8 @@ from socialmatch.instance import (
 from socialmatch.matching import Matching, is_stable, matching_value
 from socialmatch.oracle import enumerate_stable_matchings, max_weight_matching
 from socialmatch.generators import gen_random_ccg
+
+from helpers import NotStableError, matching_to_equilibrium, tight_social_optimum
 
 PATH = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
