@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .rationals import InstanceError, rat, rat_str
 
@@ -32,14 +32,12 @@ class UndefinedRatioError(ValueError):
 
 def trust_rewards(
     edges: Sequence[Edge], beta: Sequence[Fraction], h: Sequence[Fraction]
-) -> tuple[int, list[int]]:
-    """(D, sums): 2h_e + beta_u + beta_v for every edge e = (u, v), each times D,
-    the lcm of all the denominators of beta and h."""
+) -> tuple[int, Iterator[int]]:
+    """(D, sums): 2h_e + beta_u + beta_v for every edge e = (u, v) in turn,
+    each times D, the lcm of all the denominators of beta and h."""
     unit = math.lcm(*(x.denominator for x in beta), *(x.denominator for x in h))
-    b = [x.numerator * (unit // x.denominator) for x in beta]
-    return unit, [
-        2 * x.numerator * (unit // x.denominator) + b[u] + b[v] for (u, v), x in zip(edges, h)
-    ]
+    b = tuple(x.numerator * (unit // x.denominator) for x in beta)
+    return unit, (2 * x.numerator * (unit // x.denominator) + b[u] + b[v] for (u, v), x in zip(edges, h))
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -333,13 +331,6 @@ class GameInstance:
                 dens.append(den // g)
         return nums, dens
 
-    def _endpoint_rewards(self) -> Sequence[tuple[Fraction, Fraction]]:
-        """Per edge (u, v) with u < v: what u and v collect when it is matched,
-        as ``Fraction``s; see ``_endpoint_ratios``."""
-        if isinstance(self.sharing, EqualSharing):
-            return [(r, r) for r in self.rewards]
-        return self.shares
-
     @cached_property
     def oriented_edges(self) -> tuple[dict[int, tuple[Fraction, Fraction, Fraction]], ...]:
         """Per node x, per neighbour y: (stake of x, endpoint reward of x, endpoint reward of y) on xy.
@@ -350,7 +341,8 @@ class GameInstance:
         """
         a1 = self.friendship.alpha1
         table: tuple[dict, ...] = tuple({} for _ in range(self.graph.n))
-        for (u, v), (eu, ev) in zip(self.graph.edges, self._endpoint_rewards()):
+        ends = iter(map(Fraction, *self._endpoint_ratios))
+        for (u, v), eu, ev in zip(self.graph.edges, ends, ends):
             table[u][v] = (eu + a1 * ev, eu, ev)
             table[v][u] = (ev + a1 * eu, ev, eu)
         return table
