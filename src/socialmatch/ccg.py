@@ -859,10 +859,6 @@ def ccg_from_dict(doc: dict) -> ContributionGame:
     )
 
 
-def ccg_to_json(game: ContributionGame) -> str:
-    return json.dumps(ccg_to_dict(game), indent=2, sort_keys=True) + "\n"
-
-
 def ccg_from_json(text: str) -> ContributionGame:
     try:
         doc = json.loads(text)

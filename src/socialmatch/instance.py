@@ -332,22 +332,6 @@ class GameInstance:
         return nums, dens
 
     @cached_property
-    def oriented_edges(self) -> tuple[dict[int, tuple[Fraction, Fraction, Fraction]], ...]:
-        """Per node x, per neighbour y: (stake of x, endpoint reward of x, endpoint reward of y) on xy.
-
-        The stake of x is its endpoint reward plus alpha1 times y's: the
-        quantity x weighs when deciding whether to match along xy.  This is
-        the exact rational view; verdicts read ``verdict_table``.
-        """
-        a1 = self.friendship.alpha1
-        table: tuple[dict, ...] = tuple({} for _ in range(self.graph.n))
-        ends = iter(map(Fraction, *self._endpoint_ratios))
-        for (u, v), eu, ev in zip(self.graph.edges, ends, ends):
-            table[u][v] = (eu + a1 * ev, eu, ev)
-            table[v][u] = (ev + a1 * eu, ev, eu)
-        return table
-
-    @cached_property
     def verdict_table(self) -> tuple[int, tuple[dict[int, tuple[int, int, int, int, int]], ...]]:
         """(S, table): the verdict terms of every oriented edge as integers over one scale S.
 

@@ -157,7 +157,8 @@ def node_reward(instance: GameInstance, matching: Matching, v: int) -> Fraction:
     w = matching.partner(v)
     if w is None:
         return ZERO
-    return instance.oriented_edges[v][w][1]
+    scale, table = instance.verdict_table
+    return Fraction(table[v][w][1], scale)
 
 
 def perceived_utility(instance: GameInstance, matching: Matching, v: int) -> Fraction:

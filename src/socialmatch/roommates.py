@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .instance import GameInstance
@@ -47,20 +46,6 @@ def _key_table(instance: GameInstance, mode: str) -> tuple[dict[int, int], ...]:
         raise ValueError(f"unknown preference mode {mode!r}")
     _, rows = instance.verdict_table
     return tuple({y: terms[column] for y, terms in row.items()} for row in rows)
-
-
-@dataclass(frozen=True)
-class PreferenceProfile:
-    """Per-node neighbor lists, strictly ordered by key, ties to smaller id."""
-
-    mode: str
-    lists: tuple[tuple[int, ...], ...]
-
-
-def preference_profile(instance: GameInstance, mode: str) -> PreferenceProfile:
-    keys = _key_table(instance, mode)
-    lists = tuple(tuple(sorted(row, key=lambda u: (-row[u], u))) for row in keys)
-    return PreferenceProfile(mode=mode, lists=lists)
 
 
 def _components(succ: list[list[int]]) -> list[int]:
@@ -165,21 +150,7 @@ def _preference_cycle(instance: GameInstance, keys: tuple[dict[int, int], ...]) 
     return None
 
 
-@dataclass(frozen=True)
-class GreedyStats:
-    """Edges touched per extracted pair: the pair's own edge, and each
-    preference-list entry the pointers pass over.  Each edge is touched at
-    most once in a run, so the entries sum to at most |E|."""
-
-    edge_scans: tuple[int, ...]
-
-
-def greedy_mutual_best(
-    instance: GameInstance,
-    mode: str = MODE_RAW,
-    *,
-    return_stats: bool = False,
-):
+def greedy_mutual_best(instance: GameInstance, mode: str = MODE_RAW) -> Matching:
     """Repeatedly match a mutually most-preferred adjacent pair and remove it.
 
     Requires cycle-free preferences, and raises ``PreferenceCycleError``
@@ -192,16 +163,18 @@ def greedy_mutual_best(
     forward, so all extractions together read each list entry once; each
     node looked at again costs one heap push, O(log |V|).
     """
-    return _greedy(instance, _key_table(instance, mode), return_stats)
+    return _greedy(instance, _key_table(instance, mode))[0]
 
 
-def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], return_stats: bool = False):
+def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[Matching, list[int]]:
+    """(matching, scans): per extracted pair, the edges its extraction
+    touched.  Each edge is touched at most once, so the scans sum to at most |E|."""
     cycle = _preference_cycle(instance, keys)
     if cycle is not None:
         raise PreferenceCycleError(cycle)
     n = instance.graph.n
     # Each live node points at its best live neighbour: the first live entry
-    # of its list, sorted by (-key, id) as in ``preference_profile``.
+    # of its list, sorted by (-key, id): best key first, ties to smaller id.
     lists = [sorted(row, key=lambda y: (-row[y], y)) for row in keys]
     pos = [0] * n
     best = [lst[0] if lst else -1 for lst in lists]
@@ -250,19 +223,7 @@ def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], return_sta
         scans.append(touched)
     if any(alive[v] and best[v] >= 0 for v in range(n)):
         raise RuntimeError("no mutual-best pair although edges remain; preferences must contain a cycle")
-    matching = Matching.of(n, pairs)
-    if return_stats:
-        return matching, GreedyStats(edge_scans=tuple(scans))
-    return matching
-
-
-def is_stable_srp(instance: GameInstance, matching: Matching, mode: str) -> bool:
-    """Stability in the pure preference-list sense of the chosen key.
-
-    A pair blocks when both sides strictly prefer each other over their
-    current situation; being unmatched has key zero.
-    """
-    return _srp_stable(instance, _key_table(instance, mode), matching)
+    return Matching.of(n, pairs), scans
 
 
 def _srp_stable(instance: GameInstance, keys: tuple[dict[int, int], ...], matching: Matching) -> bool:
@@ -291,7 +252,7 @@ def solve_srp_q(
     require_max_n(max_n)
     keys = _key_table(instance, MODE_Q)
     try:
-        result = _greedy(instance, keys)
+        result, _ = _greedy(instance, keys)
     except PreferenceCycleError:
         result = None
         for m in sorted(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import random
 from collections import deque
 from functools import lru_cache
@@ -14,6 +15,7 @@ from socialmatch.ccg import (
     DEFAULT_GRID_K,
     ContributionGame,
     StrategyProfile,
+    ccg_to_dict,
     corresponding_matching_game,
     saturated_profile,
 )
@@ -52,7 +54,7 @@ from socialmatch.matching import (
 )
 from socialmatch.oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, SizeLimitError, max_weight_matching
 from socialmatch.rationals import rescale
-from socialmatch.roommates import MODE_Q, MODE_RAW, GreedyStats, PreferenceCycleError, _preference_cycle
+from socialmatch.roommates import MODE_Q, MODE_RAW, PreferenceCycleError, _greedy, _key_table, _preference_cycle
 
 PATH3 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
@@ -83,7 +85,8 @@ def oblivious_instance(graph: Graph, shares, alpha=()) -> GameInstance:
 def exact_key(instance: GameInstance, mode: str, x: int, y: int) -> F:
     """The exact preference key x assigns to neighbour y, from ``shares``:
     x's share of the edge (raw), or its q-value, that share plus alpha1
-    times y's (q).  The library ranks by ``oriented_edges`` instead."""
+    times y's (q).  The library ranks by ``roommates._key_table``, read from
+    the integer ``verdict_table``, instead."""
     i = instance.graph.edge_index[normalize_edge(x, y)]
     s_lo, s_hi = instance.shares[i]
     own, other = (s_lo, s_hi) if x < y else (s_hi, s_lo)
@@ -91,6 +94,25 @@ def exact_key(instance: GameInstance, mode: str, x: int, y: int) -> F:
         return own
     assert mode == MODE_Q, mode
     return own + instance.friendship.alpha1 * other
+
+
+@lru_cache(maxsize=64)
+def stake_table(instance: GameInstance) -> tuple[dict[int, tuple[F, F, F]], ...]:
+    """Per node x, per neighbour y: (stake of x, e_x, e_y) on xy, in ``Fraction``s.
+
+    e_x is x's endpoint reward, computed from ``shares``: its share, or the
+    full reward r under equal sharing, where both matched players enjoy r.
+    The stake of x is e_x plus alpha1 times e_y.  The library holds only
+    the integer image of these terms, ``GameInstance.verdict_table``.
+    """
+    a1 = instance.friendship.alpha1
+    both_get_r = isinstance(instance.sharing, EqualSharing)
+    table: tuple[dict[int, tuple[F, F, F]], ...] = tuple({} for _ in range(instance.graph.n))
+    for (u, v), (su, sv) in zip(instance.graph.edges, instance.shares):
+        eu, ev = (su + sv, su + sv) if both_get_r else (su, sv)
+        table[u][v] = (eu + a1 * ev, eu, ev)
+        table[v][u] = (ev + a1 * eu, ev, eu)
+    return table
 
 
 def subset_dp_max_weight(
@@ -213,8 +235,8 @@ def rational_pair_check(
     witness: Optional[list[Condition]] = None,
 ) -> bool:
     """Reference for ``matching._pair_check``: the same inequalities, read from
-    the exact rational ``oriented_edges`` and evaluated in ``Fraction``s."""
-    table = instance.oriented_edges
+    ``stake_table`` and evaluated in ``Fraction``s."""
+    table = stake_table(instance)
     a1, a2 = instance.friendship.alpha1, instance.friendship.alpha2
     blocking = True
     for x, y in ((u, v), (v, u)):
@@ -404,8 +426,14 @@ def reference_cli_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def rescan_greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], return_stats: bool = False):
-    """``roommates._greedy`` as it was when each extraction rescanned every live edge: the reference."""
+def greedy_scans(instance: GameInstance, mode: str) -> tuple[Matching, list[int]]:
+    """``greedy_mutual_best`` with its work: (matching, edges touched per extracted pair)."""
+    return _greedy(instance, _key_table(instance, mode))
+
+
+def rescan_greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[Matching, list[int]]:
+    """``roommates._greedy`` as it was when each extraction rescanned every live
+    edge: the reference.  Returns (matching, live edges scanned per pair)."""
     cycle = _preference_cycle(instance, keys)
     if cycle is not None:
         raise PreferenceCycleError(cycle)
@@ -449,10 +477,12 @@ def rescan_greedy(instance: GameInstance, keys: tuple[dict[int, int], ...], retu
         scans.append(scanned)
         alive[chosen[0]] = False
         alive[chosen[1]] = False
-    matching = Matching.of(graph.n, pairs)
-    if return_stats:
-        return matching, GreedyStats(edge_scans=tuple(scans))
-    return matching
+    return Matching.of(graph.n, pairs), scans
+
+
+def ccg_to_json(game: ContributionGame) -> str:
+    """A contribution game as the JSON document ``ccg_from_json`` reads."""
+    return json.dumps(ccg_to_dict(game), indent=2, sort_keys=True) + "\n"
 
 
 class NotStableError(ValueError):

@@ -42,7 +42,6 @@ from socialmatch.oracle import (
 from socialmatch.roommates import (
     MODE_RAW,
     detect_preference_cycle,
-    greedy_mutual_best,
     solve_srp_q,
 )
 from socialmatch.generators import (
@@ -56,7 +55,7 @@ from socialmatch.generators import (
     gen_random_ccg,
 )
 
-from helpers import matching_to_equilibrium, tight_social_optimum
+from helpers import ccg_to_json, greedy_scans, matching_to_equilibrium, tight_social_optimum
 
 ALPHA_PALETTE = (
     (),
@@ -207,12 +206,12 @@ def test_criterion_5_existence_machinery():
             n = 3 + seed % 6
             inst = gen_random(seed=seed, n=n, density=0.5, rule=rule)
             assert detect_preference_cycle(inst, MODE_RAW) is None, (rule, seed)
-            matched, stats = greedy_mutual_best(inst, MODE_RAW, return_stats=True)
+            matched, scans = greedy_scans(inst, MODE_RAW)
             assert is_stable(inst, matched).stable, (rule, seed)
             assert matched in enumerate_stable_matchings(inst), (rule, seed)
             m = len(inst.graph.edges)
-            assert len(stats.edge_scans) == len(matched.pairs)
-            assert all(scan <= m for scan in stats.edge_scans)
+            assert len(scans) == len(matched.pairs)
+            assert all(scan <= m for scan in scans)
 
     for rule in ("matthew", "trust", "oblivious"):
         for seed in range(150):
@@ -343,7 +342,6 @@ def test_criterion_9_determinism_byte_identical(tmp_path, capsys):
     commands.append(("solve", "--instance", str(inst_path), "--method", "srpq"))
 
     game = gen_random_ccg(seed=5, n=5, density=0.7, split="equal", alpha=(F(1, 2),))
-    from socialmatch.ccg import ccg_to_json
 
     game_path = tmp_path / "game.json"
     game_path.write_text(ccg_to_json(game))

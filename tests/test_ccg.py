@@ -13,7 +13,6 @@ from socialmatch.ccg import (
     ccg_audit,
     ccg_from_dict,
     ccg_from_json,
-    ccg_to_json,
     corresponding_matching_game,
     detect_forbidden_edges,
     is_pairwise_equilibrium,
@@ -35,7 +34,7 @@ from socialmatch.matching import Matching, is_stable, matching_value
 from socialmatch.oracle import enumerate_stable_matchings, max_weight_matching
 from socialmatch.generators import gen_random_ccg
 
-from helpers import NotStableError, matching_to_equilibrium, tight_social_optimum
+from helpers import NotStableError, ccg_to_json, matching_to_equilibrium, tight_social_optimum
 
 PATH = Graph(4, ((0, 1), (1, 2), (2, 3)))
 

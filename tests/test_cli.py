@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 import socialmatch
-from socialmatch.ccg import ContributionGame, RewardFunction, ccg_from_json, ccg_to_json
+from socialmatch.ccg import ContributionGame, RewardFunction, ccg_from_json
 from socialmatch.cli import gadget_parser, main
 from socialmatch.generators import gen_nonexistence_friendship_matthew, gen_random_ccg
 from socialmatch.instance import FriendshipVector, instance_from_json
 
-from helpers import reference_cli_parser
+from helpers import ccg_to_json, reference_cli_parser
 
 GOLDEN = Path(__file__).parent / "golden"
 

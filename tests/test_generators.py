@@ -28,6 +28,8 @@ from socialmatch.generators import (
     gen_random,
 )
 
+from helpers import stake_table
+
 
 def test_path3_closed_forms():
     inst = gen_path3_equal()
@@ -97,7 +99,7 @@ def test_nonexistence_fixture_properties():
     # q-value under brand-value sharing, is higher forward than backward.
     for i in range(5):
         nxt, prv = (i + 1) % 5, (i - 1) % 5
-        assert inst.oriented_edges[i][nxt][0] > inst.oriented_edges[i][prv][0]
+        assert stake_table(inst)[i][nxt][0] > stake_table(inst)[i][prv][0]
 
 
 def test_cyclic_triangle_empty_stable_set():

@@ -24,9 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from socialmatch.ccg import ccg_to_json
 from socialmatch.cli import main
 from socialmatch.generators import gen_random_ccg
+
+from helpers import ccg_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 GADGETS = (

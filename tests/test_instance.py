@@ -23,7 +23,15 @@ from socialmatch.instance import (
     instance_from_json,
     instance_to_json,
 )
-from helpers import ALPHA_SAMPLES, PATH3, build_distances, dense_perceived, oblivious_instance, path3_equal
+from helpers import (
+    ALPHA_SAMPLES,
+    PATH3,
+    build_distances,
+    dense_perceived,
+    oblivious_instance,
+    path3_equal,
+    stake_table,
+)
 from socialmatch.ccg import ContributionGame, RewardFunction, StrategyProfile, node_rewards, perceived_utilities
 from socialmatch.generators import gen_matthew_poa_tight, gen_random
 from socialmatch.matching import Matching, perceived_utility, utility_profile
@@ -220,8 +228,8 @@ def test_q_value_equal():
     inst = path3_equal((1, 2, 1), alpha=(F(1, 2),))
     # Middle edge reward 2: share 1 each, q = 1 + 1/2.  Equal sharing pays
     # both endpoints the full reward, so each stake is twice the q-value.
-    assert inst.oriented_edges[1][2][0] == 2 * F(3, 2)
-    assert inst.oriented_edges[2][1][0] == 2 * F(3, 2)
+    assert stake_table(inst)[1][2][0] == 2 * F(3, 2)
+    assert stake_table(inst)[2][1][0] == 2 * F(3, 2)
 
 
 def test_q_value_friendship_rs_shares():
@@ -230,14 +238,14 @@ def test_q_value_friendship_rs_shares():
         inst = oblivious_instance(
             Graph(2, ((0, 1),)), {(0, 1): (1 / denom, R / denom)}, alpha=(a1,)
         )
-        assert inst.oriented_edges[0][1][0] == 1
-        assert inst.oriented_edges[1][0][0] == (R + a1) / (1 + a1 * R)
+        assert stake_table(inst)[0][1][0] == 1
+        assert stake_table(inst)[1][0][0] == (R + a1) / (1 + a1 * R)
 
 
 def test_q_value_no_friendship_is_share():
     inst = oblivious_instance(Graph(2, ((0, 1),)), {(0, 1): (3, 2)})
-    assert inst.oriented_edges[0][1][0] == 3
-    assert inst.oriented_edges[1][0][0] == 2
+    assert stake_table(inst)[0][1][0] == 3
+    assert stake_table(inst)[1][0][0] == 2
 
 
 @pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
@@ -250,7 +258,7 @@ def test_share_sum_and_q_identity(rule, alpha):
         for i, (u, v) in enumerate(inst.graph.edges):
             su, sv = inst.shares[i]
             assert su + sv == inst.rewards[i]
-            qu, qv = inst.oriented_edges[u][v][0], inst.oriented_edges[v][u][0]
+            qu, qv = stake_table(inst)[u][v][0], stake_table(inst)[v][u][0]
             assert (qu, qv) == (stake_per_q * (su + a1 * sv), stake_per_q * (sv + a1 * su))
             assert qu + qv == stake_per_q * (1 + a1) * inst.rewards[i]
 
@@ -266,7 +274,7 @@ def test_Q_dominates_q_ratios(alpha):
             continue
         attained = F(0)
         for u, v in inst.graph.edges:
-            qu, qv = inst.oriented_edges[u][v][0], inst.oriented_edges[v][u][0]
+            qu, qv = stake_table(inst)[u][v][0], stake_table(inst)[v][u][0]
             if qu > 0 and qv > 0:
                 attained = max(attained, qu / qv, qv / qu)
         assert attained <= q_param
@@ -357,7 +365,7 @@ def test_friendship_vector_accepts_any_sorted_tail(values):
 def test_single_edge_share_and_q_identities(r, t, a1):
     inst = oblivious_instance(Graph(2, ((0, 1),)), {(0, 1): (t * r, (1 - t) * r)}, alpha=(a1,))
     assert sum(inst.shares[0]) == r
-    q0, q1 = inst.oriented_edges[0][1][0], inst.oriented_edges[1][0][0]
+    q0, q1 = stake_table(inst)[0][1][0], stake_table(inst)[1][0][0]
     assert q0 + q1 == (1 + a1) * r
     if q0 > 0 and q1 > 0:
         assert max(q0 / q1, q1 / q0) <= compute_Q(inst)

@@ -37,6 +37,7 @@ from helpers import (
     oblivious_instance,
     path3_equal,
     rational_pair_check,
+    stake_table,
 )
 from socialmatch.generators import gen_friendship_rs_tight, gen_pos_tight, gen_random
 
@@ -257,7 +258,7 @@ def test_blocking_always_raises_stake():
     for seed in range(8):
         for rule in ("equal", "oblivious"):
             inst = gen_random(seed=seed, n=7, density=0.5, rule=rule, alpha=(F(1, 2), F(1, 4)))
-            table = inst.oriented_edges
+            table = stake_table(inst)
             for m in all_matchings(inst)[:30]:
                 for u, v in inst.graph.edges:
                     for check in (is_improving_pair, is_relaxed_blocking_pair):

@@ -11,9 +11,8 @@ from socialmatch.roommates import (
     PreferenceCycleError,
     detect_preference_cycle,
     greedy_mutual_best,
-    is_stable_srp,
     _key_table,
-    preference_profile,
+    _srp_stable,
     solve_srp_q,
 )
 from helpers import (
@@ -22,8 +21,10 @@ from helpers import (
     bfs_preference_cycle,
     equal_instance,
     exact_key,
+    greedy_scans,
     oblivious_instance,
     rescan_greedy,
+    stake_table,
 )
 from socialmatch.generators import (
     gen_cyclic_triangle,
@@ -98,7 +99,7 @@ def _cmp(a, b) -> int:
 
 @pytest.mark.parametrize("rule", RULES)
 def test_key_table_ranks_as_preference_key(rule):
-    # _key_table reads oriented_edges, exact_key reads the shares.  At
+    # _key_table reads verdict_table, exact_key reads the shares.  At
     # every node the two must give the same strict order, the same ties and
     # the same sign against 0; zero shares put keys on 0 itself.
     zero_shares = {(0, 1): (0, 2), (1, 2): (1, 1), (2, 3): (3, 0)}
@@ -144,8 +145,9 @@ def test_cycle_detector_long_ring_and_path():
 
 def test_preference_profile_ordering():
     inst = gen_random(seed=2, n=7, density=0.7, rule="oblivious")
-    prof = preference_profile(inst, MODE_RAW)
-    for v, lst in enumerate(prof.lists):
+    # Each row sorted by (-key, id), as _greedy orders its preference lists.
+    lists = [sorted(row, key=lambda y: (-row[y], y)) for row in _key_table(inst, MODE_RAW)]
+    for v, lst in enumerate(lists):
         assert sorted(lst) == sorted(inst.graph.adjacency[v])
         for a, b in zip(lst, lst[1:]):
             ka = exact_key(inst, MODE_RAW, v, a)
@@ -184,17 +186,17 @@ def test_greedy_outputs_oracle_verified_stable(rule):
 def test_greedy_work_is_one_scan_per_pair():
     for seed in range(15):
         inst = gen_random(seed=seed, n=9, density=0.6, rule="trust")
-        matched, stats = greedy_mutual_best(inst, MODE_RAW, return_stats=True)
+        matched, scans = greedy_scans(inst, MODE_RAW)
         m = len(inst.graph.edges)
-        assert len(stats.edge_scans) == len(matched.pairs)
-        assert all(scan <= m for scan in stats.edge_scans)
+        assert len(scans) == len(matched.pairs)
+        assert all(scan <= m for scan in scans)
 
 
 def test_srp_stability_definition():
     inst = gen_cyclic_triangle()
     # Every maximal matching on the triangle is SRP-blocked by the rotation.
     for pair in ((0, 1), (1, 2), (0, 2)):
-        assert not is_stable_srp(inst, Matching.of(3, [pair]), MODE_RAW)
+        assert not _srp_stable(inst, _key_table(inst, MODE_RAW), Matching.of(3, [pair]))
 
 
 def test_solve_srp_q_equal_sharing():
@@ -222,7 +224,7 @@ def test_matthew_q_keys_formula():
     a1 = inst.friendship.alpha1
     for u, v in inst.graph.edges:
         expected = (lam[u] + a1 * lam[v]) / (lam[u] + lam[v]) * inst.edge_reward(u, v)
-        assert inst.oriented_edges[u][v][0] == expected  # the stake is the q-value off equal sharing
+        assert stake_table(inst)[u][v][0] == expected  # the stake is the q-value off equal sharing
 
 
 def test_solve_srp_q_nonexistence_fixture():
@@ -274,13 +276,13 @@ def test_worklist_greedy_matches_rescan(rule):
             for mode in (MODE_RAW, MODE_Q):
                 keys = _key_table(inst, mode)
                 try:
-                    expected = rescan_greedy(inst, keys, True)
+                    expected, _ = rescan_greedy(inst, keys)
                 except PreferenceCycleError as exc:
                     with pytest.raises(PreferenceCycleError) as got:
                         greedy_mutual_best(inst, mode)
                     assert got.value.cycle == exc.cycle
                     continue
-                matched, stats = greedy_mutual_best(inst, mode, return_stats=True)
-                assert matched.pairs == expected[0].pairs, (n, density, mode)
-                assert len(stats.edge_scans) == len(matched.pairs)
-                assert min(stats.edge_scans, default=1) >= 1 and sum(stats.edge_scans) <= m
+                matched, scans = greedy_scans(inst, mode)
+                assert matched.pairs == expected.pairs, (n, density, mode)
+                assert len(scans) == len(matched.pairs)
+                assert min(scans, default=1) >= 1 and sum(scans) <= m
