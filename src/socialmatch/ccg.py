@@ -36,7 +36,7 @@ from .instance import (
 from .dynamics import run_brbp
 from .matching import Matching
 from .oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, enumerate_stable_matchings, max_weight_matching
-from .rationals import rat, rat_str, rescale
+from .rationals import rat, rat_array, rat_str, rescale
 
 ATMOST = "atmost"
 EXACT = "exact"
@@ -199,12 +199,16 @@ class StrategyProfile:
     @staticmethod
     def from_dict(doc: dict, game: ContributionGame) -> "StrategyProfile":
         rows = [[ZERO] * len(game.graph.edges) for _ in range(game.graph.n)]
+        seen = set()
         try:
             for entry in doc["alloc"]:
                 v = node_id(entry["node"])
                 e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))
                 if not 0 <= v < game.graph.n or e not in game.graph.edge_index:
                     raise InstanceError(f"node {v} on edge {e} is not in the game")
+                if (v, e) in seen:
+                    raise InstanceError(f"node {v} on edge {e} is listed twice")
+                seen.add((v, e))
                 rows[v][game.graph.edge_index[e]] = rat(entry["amount"])
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise InstanceError(f"malformed profile document: {exc}") from exc
@@ -835,10 +839,10 @@ def ccg_to_dict(game: ContributionGame) -> dict:
 def ccg_from_dict(doc: dict) -> ContributionGame:
     try:
         n = node_id(doc["nodes"])
-        budgets = tuple(rat(b) for b in doc["budgets"])
+        budgets = rat_array(doc["budgets"], "budgets")
         mode = doc.get("mode", ATMOST)
-        alpha = tuple(rat(a) for a in doc.get("alpha", []))
-        lam = tuple(rat(x) for x in doc["lambda"]) if "lambda" in doc else None
+        alpha = rat_array(doc.get("alpha", []), "alpha")
+        lam = rat_array(doc["lambda"], "lambda") if "lambda" in doc else None
         entries = []
         for entry in doc["functions"]:
             e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))

@@ -30,6 +30,13 @@ def _alpha(values: Sequence) -> FriendshipVector:
     return FriendshipVector(tuple(rat(a) for a in values))
 
 
+def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
+    """One ``rng.random()`` per node pair in order; the pair is an edge when it falls below density."""
+    if not 0 <= density <= 1:  # false for nan as well
+        raise InstanceError(f"density must lie in [0, 1], got {density}")
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density))
+
+
 def gen_path3_equal(alpha: Sequence = ()) -> GameInstance:
     """3-edge path, equal sharing, all rewards 1."""
     return GameInstance(
@@ -220,12 +227,7 @@ def gen_random_ccg(
     from .ccg import ContributionGame, RewardFunction
 
     rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                edges.append((u, v))
-    graph = Graph(n, tuple(edges))
+    graph = _random_graph(rng, n, density)
     budgets = tuple(
         Fraction(rng.randint(1, 4)) if graph.adjacency[v] or mode != "exact" else Fraction(0)
         for v in range(n)
@@ -265,12 +267,7 @@ def gen_random(
     lo, hi = reward_range
     if lo < 1:
         raise InstanceError("rewards must stay positive: reward_range[0] >= 1")
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                edges.append((u, v))
-    graph = Graph(n, tuple(edges))
+    graph = _random_graph(rng, n, density)
     rewards = [Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 4))) for _ in graph.edges]
 
     sharing: object

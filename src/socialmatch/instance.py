@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
-from .rationals import InstanceError, rat, rat_str
+from .rationals import InstanceError, rat, rat_array, rat_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -446,7 +446,7 @@ def instance_from_dict(doc: dict) -> GameInstance:
         n = node_id(doc["nodes"])
         raw_edges = doc["edges"]
         sharing_doc = doc.get("sharing", {"rule": "equal"})
-        alpha = tuple(rat(a) for a in doc.get("alpha", []))
+        alpha = rat_array(doc.get("alpha", []), "alpha")
 
         pairs = []
         flipped = []
@@ -461,8 +461,8 @@ def instance_from_dict(doc: dict) -> GameInstance:
         rule = sharing_doc.get("rule", "equal")
         sharing: SharingRule
         if rule == "trust":
-            beta = tuple(rat(x) for x in sharing_doc["beta"])
-            h_in = [rat(x) for x in sharing_doc["h"]]
+            beta = rat_array(sharing_doc["beta"], "beta")
+            h_in = rat_array(sharing_doc["h"], "h")
             h = tuple(h_in[i] for i in order)
             sharing = TrustSharing(beta=beta, h=h)
             unit, sums = trust_rewards(graph.edges, beta, h)
@@ -493,9 +493,9 @@ def instance_from_dict(doc: dict) -> GameInstance:
                     aligned.append((b, a) if flipped[i] else (a, b))
                 sharing = ObliviousSharing(shares=tuple(aligned))
             elif rule == "matthew":
-                sharing = MatthewSharing(lam=tuple(rat(x) for x in sharing_doc["lambda"]))
+                sharing = MatthewSharing(lam=rat_array(sharing_doc["lambda"], "lambda"))
             elif rule == "parasite":
-                sharing = ParasiteSharing(lam=tuple(rat(x) for x in sharing_doc["lambda"]))
+                sharing = ParasiteSharing(lam=rat_array(sharing_doc["lambda"], "lambda"))
             else:
                 raise InstanceError(f"unknown sharing rule {rule!r}")
     except (KeyError, IndexError, TypeError, AttributeError) as exc:

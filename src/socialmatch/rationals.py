@@ -30,6 +30,15 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"not a rational: {value!r}")
 
 
+def rat_array(value: object, field: str) -> tuple[Fraction, ...]:
+    """The rationals of a JSON array.  Any other value, a string or an
+    object included, is an ``InstanceError`` naming ``field``: iterating it
+    would read its characters or keys as entries."""
+    if not isinstance(value, list):
+        raise InstanceError(f"{field} must be a JSON array of rationals, got {value!r}")
+    return tuple(rat(x) for x in value)
+
+
 def rat_str(value: Fraction) -> str:
     """Render a rational as "p/q" (or "p" for integers); parses back exactly."""
     if value.denominator == 1:

@@ -14,7 +14,7 @@ import socialmatch
 from socialmatch.ccg import ContributionGame, RewardFunction, ccg_from_json
 from socialmatch.cli import gadget_parser, main
 from socialmatch.generators import gen_nonexistence_friendship_matthew, gen_random_ccg
-from socialmatch.instance import FriendshipVector, instance_from_json
+from socialmatch.instance import FriendshipVector, InstanceError, instance_from_json
 
 from helpers import ccg_to_json, reference_cli_parser
 
@@ -418,6 +418,66 @@ def test_non_integer_node_ids_exit_1(tmp_path, capsys):
     for pairs in ([[0.0, 1]], [[0, True]], [["0", "1"]], [5], 7):
         mpath.write_text(json.dumps({"pairs": pairs}))
         _assert_exit_1(*run(capsys, "check", "--instance", str(ipath), "--matching", str(mpath)), pairs)
+
+
+_PATH_EDGES = [{"u": 0, "v": 1, "r": "2"}, {"u": 1, "v": 2, "r": "1"}]
+_TRUST_EDGES = [{"u": 0, "v": 1}, {"u": 1, "v": 2}]
+_GAME = {"nodes": 2, "budgets": ["1", "1"], "functions": [{"edge": [0, 1], "family": "product", "c": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve", {"nodes": 3, "edges": _PATH_EDGES, "alpha": "1"}),
+        ("solve", {"nodes": 3, "edges": _PATH_EDGES, "sharing": {"rule": "matthew", "lambda": "122"}}),
+        ("solve", {"nodes": 3, "edges": _TRUST_EDGES, "sharing": {"rule": "trust", "beta": "120", "h": ["1", "1"]}}),
+        ("solve", {"nodes": 3, "edges": _TRUST_EDGES, "sharing": {"rule": "trust", "beta": ["1", "2", "0"], "h": "11"}}),
+        ("ccg", {**_GAME, "budgets": "11"}),
+        ("ccg", {**_GAME, "alpha": {"1": 0}}),
+        (
+            "ccg",
+            {**_GAME, "lambda": "12", "functions": [{**_GAME["functions"][0], "split": {"kind": "matthew"}}]},
+        ),
+    ],
+    ids=["alpha", "lambda", "beta", "h", "game-budgets", "game-alpha", "game-lambda"],
+)
+def test_rational_arrays_must_be_json_arrays(tmp_path, capsys, command, doc):
+    # A string or an object where an array of rationals belongs used to be
+    # read entry by entry: "12" as (1, 2) and {"1": 0} as (1,).
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = "--instance" if command == "solve" else "--game"
+    code, out, err = run(capsys, command, flag, str(path))
+    _assert_exit_1(code, out, err, doc)
+    assert err.count("\n") == 1 and "must be a JSON array" in err
+
+
+@pytest.mark.parametrize("density", ["1.5", "-0.5", "nan", "inf"])
+def test_gen_random_rejects_density_outside_unit_interval(tmp_path, capsys, density):
+    # Each used to exit 0: below 0 or nan drew no edge, above 1 every edge.
+    path = tmp_path / "inst.json"
+    _assert_exit_1(*run(capsys, "gen", "random", "--n", "4", f"--density={density}", "--out", str(path)), density)
+    assert not path.exists()
+    with pytest.raises(InstanceError, match="density"):
+        gen_random_ccg(seed=0, n=4, density=float(density))
+
+
+def test_profile_repeating_a_node_on_an_edge_exit_1(tmp_path, capsys):
+    # The last entry used to win silently: this profile was read as node 0
+    # spending 0 on (0, 1), and check certified it.
+    gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
+    gpath.write_text(json.dumps(_GAME))
+    for second in ([1, 0], [0, 1]):
+        alloc = [{"node": 0, "edge": [0, 1], "amount": "1"}, {"node": 0, "edge": second, "amount": "0"}]
+        ppath.write_text(json.dumps({"alloc": alloc}))
+        code, out, err = run(capsys, "check", "--game", str(gpath), "--profile", str(ppath))
+        _assert_exit_1(code, out, err, second)
+        assert err == "error: node 0 on edge (0, 1) is listed twice\n"
+    # Both endpoints on the same edge is one entry each, and stays valid.
+    alloc = [{"node": 0, "edge": [0, 1], "amount": "1"}, {"node": 1, "edge": [1, 0], "amount": "1"}]
+    ppath.write_text(json.dumps({"alloc": alloc}))
+    code, out, _ = run(capsys, "check", "--game", str(gpath), "--profile", str(ppath))
+    assert code == 0 and json.loads(out)["is_equilibrium"] is True
 
 
 def test_non_integer_node_ids_in_games_and_profiles_exit_1(tmp_path, capsys):
