@@ -227,6 +227,9 @@ def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[M
 
 
 def _srp_stable(instance: GameInstance, keys: tuple[dict[int, int], ...], matching: Matching) -> bool:
+    """Stability in the pure preference-list sense of ``keys``: a pair blocks
+    when both sides strictly prefer each other over their current situation,
+    and being unmatched has key zero."""
     partner = matching.partner_map
     for u, v in instance.graph.edges:
         pu, pv = partner[u], partner[v]
