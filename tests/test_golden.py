@@ -8,8 +8,9 @@ the instance its ``gen`` arguments make; ``<name>.out`` holds its stdout,
 ``<name>.err`` its stderr when there is any, and the table pins its exit
 code.  Each ccg golden runs ``socialmatch ccg --game <name>.game.json`` on
 a committed game made by ``generators.gen_random_ccg`` with the arguments
-of ``CCG_GAMES``; ``<name>.out`` holds its stdout.  The files pin the full
-output, so a change that alters it the same way on every run still shows.  Regenerate them with
+of ``CCG_GAMES``; ``<name>.out`` holds its stdout.  Each check-ccg golden
+runs ``socialmatch check --game --profile`` at n=1000 on a game and profile
+that ``check_profile_output`` builds.  The files pin the full output, so a change that alters it the same way on every run still shows.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``, and only when a change of
 output is intended.
 """
@@ -18,14 +19,18 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from socialmatch.ccg import corresponding_matching_game, saturated_profile
 from socialmatch.cli import main
+from socialmatch.dynamics import run_arbitrary_dynamics
 from socialmatch.generators import gen_random_ccg
+from socialmatch.matching import Matching
 
 from helpers import ccg_to_json
 
@@ -177,6 +182,16 @@ CCG_GAMES = {
     ),
 }
 
+# name -> exit code.  The game is an atmost equal-split game with n=1000,
+# average degree ~3 (m=1,481) and alpha=(1/2,).  "stable" is the saturated
+# profile of the stable matching that arbitrary dynamics reach from empty:
+# grid-certified after the full candidate scan.  "witness" drops the last
+# pair of that matching, and the pair's nodes then gain by a bilateral move.
+CHECK_PROFILES = {
+    "check-ccg-n1000-stable": 0,
+    "check-ccg-n1000-witness": 2,
+}
+
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -210,6 +225,20 @@ def ccg_output(name: str) -> tuple[int, str, str]:
     return _run(["ccg", "--game", str(GOLDEN / f"{name}.game.json")])
 
 
+def check_profile_output(name: str, workdir: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``check --game --profile`` on the named case."""
+    n = 1000
+    game = gen_random_ccg(seed=1, n=n, density=0.003, split="equal", mode="atmost", alpha=("1/2",))
+    stable, _ = run_arbitrary_dynamics(corresponding_matching_game(game), Matching.empty(n), 1)
+    pairs = stable.sorted_pairs()
+    if name.endswith("-witness"):
+        pairs = pairs[:-1]
+    game_path, profile_path = workdir / "game.json", workdir / "profile.json"
+    game_path.write_text(ccg_to_json(game), encoding="utf-8")
+    profile_path.write_text(json.dumps(saturated_profile(game, Matching.of(n, pairs)).to_dict(game)), encoding="utf-8")
+    return _run(["check", "--game", str(game_path), "--profile", str(profile_path)])
+
+
 @pytest.mark.parametrize("gadget", GADGETS)
 def test_audit_golden(gadget, tmp_path):
     golden = GOLDEN / f"audit-{gadget}.json"
@@ -235,6 +264,14 @@ def test_ccg_golden(name):
     assert err == ""
 
 
+@pytest.mark.parametrize("name", CHECK_PROFILES)
+def test_check_profile_golden(name, tmp_path):
+    code, out, err = check_profile_output(name, tmp_path)
+    assert code == CHECK_PROFILES[name]
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert err == ""
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -248,6 +285,10 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.err").unlink(missing_ok=True)
             if err:
                 (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
+            print(f"wrote {name}", file=sys.stderr)
+        for name in CHECK_PROFILES:
+            _, text, _ = check_profile_output(name, Path(tmp))
+            (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
             print(f"wrote {name}", file=sys.stderr)
     for name, (kwargs, _) in CCG_GAMES.items():
         (GOLDEN / f"{name}.game.json").write_text(ccg_to_json(gen_random_ccg(**kwargs)), encoding="utf-8")
