@@ -153,26 +153,18 @@ class ContributionGame:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Per-node budget allocations over incident edges, exact in rationals."""
+    """One contribution pair per edge, exact in rationals."""
 
-    alloc: tuple[tuple[Fraction, ...], ...]  # [node][edge index], zero off-incidence
+    amounts: tuple[tuple[Fraction, Fraction], ...]  # [edge index]: (x_u, x_v) on edge (u, v)
 
     @staticmethod
-    def build(game: ContributionGame, rows: Sequence[Sequence[Fraction]]) -> "StrategyProfile":
-        n = game.graph.n
-        m = len(game.graph.edges)
-        alloc = tuple(tuple(rat(x) for x in row) for row in rows)
-        if len(alloc) != n or any(len(row) != m for row in alloc):
-            raise InstanceError("allocation must be an n x m table")
-        for v in range(n):
-            incident = set(game.graph.incident_edges[v])
+    def build(game: ContributionGame, amounts: Sequence[Sequence[Fraction]]) -> "StrategyProfile":
+        profile = StrategyProfile(amounts=tuple((rat(x_u), rat(x_v)) for x_u, x_v in amounts))
+        for v in range(game.graph.n):
             total = ZERO
-            for ei in range(m):
-                x = alloc[v][ei]
+            for ei, x in zip(game.graph.incident_edges[v], profile.row(game, v)):
                 if x < 0:
                     raise InstanceError(f"negative allocation of node {v} on edge {ei}")
-                if x > 0 and ei not in incident:
-                    raise InstanceError(f"node {v} allocates to non-incident edge {game.graph.edges[ei]}")
                 total += x
             if game.mode == EXACT:
                 if total != game.budgets[v]:
@@ -181,24 +173,35 @@ class StrategyProfile:
                     )
             elif total > game.budgets[v]:
                 raise InstanceError(f"node {v} overspends: {total} > {game.budgets[v]}")
-        return StrategyProfile(alloc=alloc)
+        return profile
 
-    def contributions(self, game: ContributionGame, ei: int) -> tuple[Fraction, Fraction]:
-        u, v = game.graph.edges[ei]
-        return self.alloc[u][ei], self.alloc[v][ei]
+    def row(self, game: ContributionGame, v: int) -> tuple[Fraction, ...]:
+        """v's contributions over its incident edges, in order."""
+        edges = game.graph.edges
+        return tuple(self.amounts[ei][edges[ei].index(v)] for ei in game.graph.incident_edges[v])
+
+    def with_rows(
+        self, game: ContributionGame, nodes: Sequence[int], rows: Sequence[Sequence[Fraction]]
+    ) -> "StrategyProfile":
+        """This profile with each of ``nodes`` contributing its row of ``rows``
+        over its incident edges, in order."""
+        amounts = [list(pair) for pair in self.amounts]
+        for v, row in zip(nodes, rows, strict=True):
+            for ei, x in zip(game.graph.incident_edges[v], row, strict=True):
+                amounts[ei][game.graph.edges[ei].index(v)] = x
+        return StrategyProfile.build(game, amounts)
 
     def to_dict(self, game: ContributionGame) -> dict:
         entries = []
         for v in range(game.graph.n):
-            for ei in game.graph.incident_edges[v]:
-                x = self.alloc[v][ei]
+            for ei, x in zip(game.graph.incident_edges[v], self.row(game, v)):
                 if x != 0:
                     entries.append({"node": v, "edge": list(game.graph.edges[ei]), "amount": rat_str(x)})
         return {"alloc": entries}
 
     @staticmethod
     def from_dict(doc: dict, game: ContributionGame) -> "StrategyProfile":
-        rows = [[ZERO] * len(game.graph.edges) for _ in range(game.graph.n)]
+        amounts = [[ZERO, ZERO] for _ in game.graph.edges]
         seen = set()
         try:
             for entry in doc["alloc"]:
@@ -206,19 +209,20 @@ class StrategyProfile:
                 e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))
                 if not 0 <= v < game.graph.n or e not in game.graph.edge_index:
                     raise InstanceError(f"node {v} on edge {e} is not in the game")
+                if v not in e:
+                    raise InstanceError(f"node {v} allocates to non-incident edge {e}")
                 if (v, e) in seen:
                     raise InstanceError(f"node {v} on edge {e} is listed twice")
                 seen.add((v, e))
-                rows[v][game.graph.edge_index[e]] = rat(entry["amount"])
+                amounts[game.graph.edge_index[e]][e.index(v)] = rat(entry["amount"])
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise InstanceError(f"malformed profile document: {exc}") from exc
-        return StrategyProfile.build(game, rows)
+        return StrategyProfile.build(game, amounts)
 
 
 def node_rewards(game: ContributionGame, profile: StrategyProfile) -> tuple[Fraction, ...]:
     rewards = [ZERO] * game.graph.n
-    for ei, (u, v) in enumerate(game.graph.edges):
-        x_u, x_v = profile.contributions(game, ei)
+    for ei, ((u, v), (x_u, x_v)) in enumerate(zip(game.graph.edges, profile.amounts)):
         if x_u == 0 and x_v == 0:
             continue
         r_u, r_v = game.endpoint_rewards(ei, x_u, x_v)
@@ -234,9 +238,8 @@ def perceived_utilities(game: ContributionGame, profile: StrategyProfile) -> tup
 def total_reward(game: ContributionGame, profile: StrategyProfile) -> Fraction:
     """Sum of edge rewards; matches matching_value of the corresponding game."""
     total = ZERO
-    for ei in range(len(game.graph.edges)):
-        x_u, x_v = profile.contributions(game, ei)
-        total += game.functions[ei].total(x_u, x_v)
+    for f, (x_u, x_v) in zip(game.functions, profile.amounts):
+        total += f.total(x_u, x_v)
     return total
 
 
@@ -286,19 +289,19 @@ def corresponding_matching_game(game: ContributionGame) -> GameInstance:
 def saturated_profile(game: ContributionGame, matching: Matching) -> StrategyProfile:
     """Matched nodes put the full budget on the matched edge; unmatched nodes
     allocate nothing (atmost) or spread equally over incident edges (exact)."""
-    n = game.graph.n
-    m = len(game.graph.edges)
-    rows = [[ZERO] * m for _ in range(n)]
-    for v in range(n):
+    rows = []
+    for v in range(game.graph.n):
+        incident = game.graph.incident_edges[v]
         w = matching.partner(v)
         if w is not None:
-            rows[v][game.graph.edge_index[normalize_edge(v, w)]] = game.budgets[v]
+            matched = game.graph.edge_index[normalize_edge(v, w)]
+            rows.append([game.budgets[v] if ei == matched else ZERO for ei in incident])
         elif game.mode == EXACT and game.budgets[v] > 0:
-            incident = game.graph.incident_edges[v]
-            share = game.budgets[v] / len(incident)
-            for ei in incident:
-                rows[v][ei] = share
-    return StrategyProfile.build(game, rows)
+            rows.append([game.budgets[v] / len(incident)] * len(incident))
+        else:
+            rows.append([ZERO] * len(incident))
+    idle = StrategyProfile(amounts=((ZERO, ZERO),) * len(game.graph.edges))
+    return idle.with_rows(game, range(game.graph.n), rows)
 
 
 @dataclass(frozen=True)
@@ -307,7 +310,7 @@ class DeviationWitness:
 
     kind: str  # "unilateral" | "bilateral" | "pair-split"
     nodes: tuple[int, ...]
-    new_rows: tuple[tuple[Fraction, ...], ...]  # replacement allocation rows, aligned with nodes
+    new_rows: tuple[tuple[Fraction, ...], ...]  # per node, its new row over its incident edges
     utilities_before: tuple[Fraction, ...]
     utilities_after: tuple[Fraction, ...]
 
@@ -316,7 +319,7 @@ class DeviationWitness:
         for node, row in zip(self.nodes, self.new_rows):
             alloc = [
                 {"edge": list(game.graph.edges[ei]), "amount": rat_str(x)}
-                for ei, x in enumerate(row)
+                for ei, x in zip(game.graph.incident_edges[node], row)
                 if x != 0
             ]
             moves.append({"node": node, "alloc": alloc})
@@ -351,8 +354,8 @@ class _Checker:
     Every candidate contribution is an integer multiple of ``1/scale``, where
     ``scale`` is the lcm of the denominators of the profile entries and the
     budgets, times K: transfers ``t*x`` with ``t = i/K``, the ``(1-t)``
-    rescalings and full-budget concentrations all stay on it.  Candidate rows
-    are therefore ``int`` lists.
+    rescalings and full-budget concentrations all stay on it.  A candidate
+    row is therefore an ``int`` list over the node's incident edges, in order.
 
     Rewards are integer multiples of ``1/reward_unit``, one scale for the
     whole check: ``scale`` to the largest degree of a reward polynomial,
@@ -378,10 +381,11 @@ class _Checker:
         self.game = game
         self.profile = profile
         self.k = grid_k
-        denominators = [x.denominator for row in profile.alloc for x in row]
+        denominators = [x.denominator for pair in profile.amounts for x in pair]
         denominators += [b.denominator for b in game.budgets]
         self.scale = lcm(*denominators) * grid_k
-        self.alloc = [[self._to_int(x) for x in row] for row in profile.alloc]
+        self.amounts = [(self._to_int(x_u), self._to_int(x_v)) for x_u, x_v in profile.amounts]
+        self.rows = [[self._to_int(x) for x in profile.row(game, v)] for v in range(game.graph.n)]
         self.budgets = [self._to_int(b) for b in game.budgets]
 
         # Per edge: the power of X_u*X_v in the reward (None for min), and the
@@ -390,14 +394,14 @@ class _Checker:
         powers: list[Optional[int]] = []
         coefficients: list[tuple[Fraction, Fraction]] = []
         sums = []
-        for ei, (u, v) in enumerate(game.graph.edges):
+        for ei, (x_u, x_v) in enumerate(self.amounts):
             f = game.functions[ei]
             powers.append(None if f.family == FAMILY_MIN else f.k if f.family == FAMILY_POWPROD else 1)
             c_u = c_v = f.c
             if game.splits[ei] == SPLIT_MATTHEW:
                 c_u, c_v = game.endpoint_rewards(ei, ONE, ONE)  # every family pays c at (1, 1)
-            elif game.splits[ei] == SPLIT_PROPORTIONAL and (total := self.alloc[u][ei] + self.alloc[v][ei]):
-                sums.append(total)
+            elif game.splits[ei] == SPLIT_PROPORTIONAL and x_u + x_v:
+                sums.append(x_u + x_v)
             coefficients.append((c_u, c_v))
         degrees = [1 if power is None else 2 * power for power in powers]
         self.reward_unit = (
@@ -407,10 +411,9 @@ class _Checker:
         )
         self.alpha_unit, alpha = rescale(game.friendship.alpha)
         self.alpha1 = alpha[0] if alpha else 0
-        self.alpha = [[0] * game.graph.n for _ in range(game.graph.n)]
-        for ints, row in zip(self.alpha, game.alpha_rows):
-            for x, a in row.items():
-                ints[x] = a.numerator * (self.alpha_unit // a.denominator)
+        self.alpha = [
+            {x: a.numerator * (self.alpha_unit // a.denominator) for x, a in row.items()} for row in game.alpha_rows
+        ]
         self.unit = self.reward_unit * self.alpha_unit
 
         # Per edge: (power, integer coefficient of u, of v, proportional?).
@@ -421,8 +424,8 @@ class _Checker:
             self.edges.append((power, self._integral(c_u * per_degree), self._integral(c_v * per_degree), proportional))
 
         self.current: list[tuple[int, int]] = []  # rewards at the profile, in units of 1/reward_unit
-        for ei, (u, v) in enumerate(game.graph.edges):
-            r_u, r_v, den = self._rewards(ei, self.alloc[u][ei], self.alloc[v][ei])
+        for ei, (x_u, x_v) in enumerate(self.amounts):
+            r_u, r_v, den = self._rewards(ei, x_u, x_v)
             self.current.append((self._integral(Fraction(r_u, den)), self._integral(Fraction(r_v, den))))
 
     @staticmethod
@@ -463,20 +466,17 @@ class _Checker:
     def _side(
         self, v: int, row: Sequence[int], skip: Optional[int], observers: tuple[int, ...]
     ) -> tuple[list[int], int]:
-        """Utility changes of the observers from v's allocation row on v's
-        incident edges other than ``skip``: numerators over one denominator."""
-        game = self.game
-        cur = self.alloc[v]
+        """Utility changes of the observers from v's row on v's incident edges
+        other than ``skip``: numerators over one denominator."""
+        edges = self.game.graph.edges
         sums = [0] * len(observers)
         den = 1
-        for ej in game.graph.incident_edges[v]:
-            if ej == skip or row[ej] == cur[ej]:
+        for ej, x, old in zip(self.game.graph.incident_edges[v], row, self.rows[v]):
+            if ej == skip or x == old:
                 continue
-            a, b = game.graph.edges[ej]
-            if a == v:
-                d_a, d_b, g_a, g_b, d = self._gain(ej, row[ej], self.alloc[b][ej])
-            else:
-                d_a, d_b, g_a, g_b, d = self._gain(ej, self.alloc[a][ej], row[ej])
+            a, b = edges[ej]
+            x_a, x_b = self.amounts[ej]
+            d_a, d_b, g_a, g_b, d = self._gain(ej, x, x_b) if a == v else self._gain(ej, x_a, x)
             for i, w in enumerate(observers):
                 if w == a:
                     term = g_a
@@ -484,41 +484,40 @@ class _Checker:
                     term = g_b
                 else:
                     alpha = self.alpha[w]
-                    term = alpha[a] * d_a + alpha[b] * d_b
+                    term = alpha.get(a, 0) * d_a + alpha.get(b, 0) * d_b
                 sums[i] = sums[i] * d + term * den
             den *= d
         return sums, den
 
     # -- candidate generators -------------------------------------------
 
-    def _concentrate(self, v: int, ei: int) -> list[int]:
-        row = [0] * len(self.game.graph.edges)
-        row[ei] = self.budgets[v]
+    def _concentrate(self, v: int, j: int) -> list[int]:
+        """v's whole budget on its j-th incident edge."""
+        row = [0] * len(self.rows[v])
+        row[j] = self.budgets[v]
         return row
 
     def unilateral(self, v: int):
         """Yield the candidate rows of a single node."""
-        game = self.game
         k = self.k
-        incident = game.graph.incident_edges[v]
+        cur = self.rows[v]
         budget = self.budgets[v]
-        if not incident or budget == 0:
+        if not cur or budget == 0:
             return
-        cur = self.alloc[v]
-        nonzero = [ei for ei in incident if cur[ei] != 0]
-        idle = budget - sum(cur[ei] for ei in nonzero)
-        for ei in incident:
-            if nonzero == [ei] and cur[ei] == budget:
+        nonzero = [j for j, x in enumerate(cur) if x != 0]
+        idle = budget - sum(cur)
+        for j in range(len(cur)):
+            if nonzero == [j] and cur[j] == budget:
                 continue  # already concentrated there
-            yield self._concentrate(v, ei)
-        if game.mode == ATMOST and idle > 0:
-            for ei in incident:
+            yield self._concentrate(v, j)
+        if self.game.mode == ATMOST and idle > 0:
+            for j in range(len(cur)):
                 for i in range(1, k + 1):
                     row = list(cur)
-                    row[ei] += i * idle // k
+                    row[j] += i * idle // k
                     yield row
         for e_from in nonzero:
-            for e_to in incident:
+            for e_to in range(len(cur)):
                 if e_to == e_from:
                     continue
                 for i in range(1, k + 1):
@@ -527,26 +526,26 @@ class _Checker:
                     row[e_from] -= moved
                     row[e_to] += moved
                     yield row
-            if game.mode == ATMOST:
+            if self.game.mode == ATMOST:
                 for i in range(1, k + 1):
                     row = list(cur)
                     row[e_from] -= i * cur[e_from] // k
                     yield row
 
-    def _pull_toward(self, v: int, ei: int, i: int) -> list[int]:
-        """Scale v's other allocations by (1-t), t = i/K, and add the freed budget to ei."""
+    def _pull_toward(self, v: int, j: int, i: int) -> list[int]:
+        """Scale v's other allocations by (1-t), t = i/K, and add the freed budget to its j-th edge."""
         k = self.k
-        cur = self.alloc[v]
+        cur = self.rows[v]
         row = list(cur)
         freed = 0
-        for ej in self.game.graph.incident_edges[v]:
-            if ej != ei and cur[ej] != 0:
-                moved = i * cur[ej] // k
+        for e, x in enumerate(cur):
+            if e != j and x != 0:
+                moved = i * x // k
                 freed += moved
-                row[ej] -= moved
+                row[e] -= moved
         if self.game.mode == ATMOST:
-            freed += i * (self.budgets[v] - sum(cur[e] for e in self.game.graph.incident_edges[v])) // k
-        row[ei] += freed
+            freed += i * (self.budgets[v] - sum(cur)) // k
+        row[j] += freed
         return row
 
     def _pair_moves(self, kind: str, u: int, v: int, shared: Optional[int], rows_u: list, rows_v: list):
@@ -559,14 +558,19 @@ class _Checker:
         observers = (u, v)
         sides_u = [self._side(u, row, shared, observers) for row in rows_u]
         sides_v = [self._side(v, row, shared, observers) for row in rows_v]
-        cur_u, cur_v = self.alloc[u], self.alloc[v]
+        cur_u, cur_v = self.rows[u], self.rows[v]
+        if shared is not None:
+            incident = self.game.graph.incident_edges
+            at_u, at_v = incident[u].index(shared), incident[v].index(shared)
         for row_u, ((uu, uv), den_u) in zip(rows_u, sides_u):
             for row_v, ((vu, vv), den_v) in zip(rows_v, sides_v):
                 if row_u == cur_u and row_v == cur_v:
                     continue
                 du, dv, den = uu * den_v + vu * den_u, uv * den_v + vv * den_u, den_u * den_v
                 if shared is not None:
-                    _, _, g_u, g_v, d = self._gain(shared, row_u[shared], row_v[shared])
+                    if kind == "pair-split" and row_u[at_u] and row_v[at_v]:
+                        continue  # both moving onto the shared edge is bilateral
+                    _, _, g_u, g_v, d = self._gain(shared, row_u[at_u], row_v[at_v])
                     du, dv, den = du * d + g_u * den, dv * d + g_v * den, den * d
                 yield kind, observers, (row_u, row_v), ((du, dv), den)
 
@@ -586,8 +590,8 @@ class _Checker:
         for ei, (u, v) in enumerate(game.graph.edges):
             if self.budgets[u] == 0 or self.budgets[v] == 0:
                 continue
-            rows_u = [self._pull_toward(u, ei, i) for i in steps]
-            rows_v = [self._pull_toward(v, ei, i) for i in steps]
+            rows_u = [self._pull_toward(u, incident[u].index(ei), i) for i in steps]
+            rows_v = [self._pull_toward(v, incident[v].index(ei), i) for i in steps]
             yield from self._pair_moves("bilateral", u, v, ei, rows_u, rows_v)
         # Exact mode: pairs moving their full budgets to two distinct edges.
         if game.mode == EXACT:
@@ -596,12 +600,9 @@ class _Checker:
                     if self.budgets[u] == 0 or self.budgets[v] == 0:
                         continue
                     shared = game.graph.edge_index.get((u, v))
-                    rows_u = [self._concentrate(u, e) for e in incident[u]]
-                    rows_v = [self._concentrate(v, e) for e in incident[v]]
-                    for move in self._pair_moves("pair-split", u, v, shared, rows_u, rows_v):
-                        _, _, (row_u, row_v), _ = move
-                        if shared is None or not (row_u[shared] and row_v[shared]):
-                            yield move  # both moving onto the shared edge is bilateral
+                    rows_u = [self._concentrate(u, j) for j in range(len(incident[u]))]
+                    rows_v = [self._concentrate(v, j) for j in range(len(incident[v]))]
+                    yield from self._pair_moves("pair-split", u, v, shared, rows_u, rows_v)
 
     def check(self) -> Optional[DeviationWitness]:
         for kind, nodes, rows, changes in self.moves():
@@ -749,10 +750,7 @@ def _local_search(
             return profile
         witness = verdict.witness
         assert witness is not None
-        rows = [list(r) for r in profile.alloc]
-        for node, row in zip(witness.nodes, witness.new_rows):
-            rows[node] = list(row)
-        profile = StrategyProfile.build(game, rows)
+        profile = profile.with_rows(game, witness.nodes, witness.new_rows)
     return None
 
 

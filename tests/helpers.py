@@ -480,6 +480,23 @@ def rescan_greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> t
     return Matching.of(graph.n, pairs), scans
 
 
+def profile_from_rows(game: ContributionGame, rows: Sequence[Sequence[F]]) -> StrategyProfile:
+    """The profile of a dense n x m table, ``rows[v][ei]`` being v's
+    contribution to edge ei; every entry off incidence must be zero."""
+    for v, row in enumerate(rows):
+        for ei, x in enumerate(row):
+            assert x == 0 or v in game.graph.edges[ei], (v, game.graph.edges[ei], x)
+    return StrategyProfile.build(game, [(rows[u][ei], rows[v][ei]) for ei, (u, v) in enumerate(game.graph.edges)])
+
+
+def dense_rows(game: ContributionGame, profile: StrategyProfile) -> list[list[F]]:
+    """The profile as a dense n x m table, zero off incidence."""
+    rows = [[F(0)] * len(game.graph.edges) for _ in range(game.graph.n)]
+    for ei, ((u, v), (x_u, x_v)) in enumerate(zip(game.graph.edges, profile.amounts)):
+        rows[u][ei], rows[v][ei] = x_u, x_v
+    return rows
+
+
 def ccg_to_json(game: ContributionGame) -> str:
     """A contribution game as the JSON document ``ccg_from_json`` reads."""
     return json.dumps(ccg_to_dict(game), indent=2, sort_keys=True) + "\n"

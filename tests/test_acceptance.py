@@ -14,7 +14,6 @@ from socialmatch.ccg import (
     EXACT,
     ContributionGame,
     RewardFunction,
-    StrategyProfile,
     ccg_audit,
     corresponding_matching_game,
     detect_forbidden_edges,
@@ -55,7 +54,14 @@ from socialmatch.generators import (
     gen_random_ccg,
 )
 
-from helpers import ccg_to_json, greedy_scans, matching_to_equilibrium, tight_social_optimum
+from helpers import (
+    ccg_to_json,
+    dense_rows,
+    greedy_scans,
+    matching_to_equilibrium,
+    profile_from_rows,
+    tight_social_optimum,
+)
 
 ALPHA_PALETTE = (
     (),
@@ -286,7 +292,7 @@ def test_criterion_8_tight_budget_reproduction():
     rows = [[F(0)] * 3 for _ in range(4)]
     rows[1][1] = F(1)
     rows[2][1] = F(1)
-    middle_atmost = StrategyProfile.build(atmost, rows)
+    middle_atmost = profile_from_rows(atmost, rows)
     assert is_pairwise_equilibrium(atmost, middle_atmost).is_equilibrium
 
     exact = game(EXACT)
@@ -295,7 +301,7 @@ def test_criterion_8_tight_budget_reproduction():
     rows[1][1] = F(1)
     rows[2][1] = F(1)
     rows[3][2] = F(1)
-    middle_exact = StrategyProfile.build(exact, rows)
+    middle_exact = profile_from_rows(exact, rows)
     verdict = is_pairwise_equilibrium(exact, middle_exact)
     assert not verdict.is_equilibrium
     witness = verdict.witness
@@ -306,8 +312,9 @@ def test_criterion_8_tight_budget_reproduction():
     assert detect_forbidden_edges(exact) == ((1, 2),)
 
     equilibrium = tight_budget_equilibrium(exact)
-    assert equilibrium.alloc[0][0] == 1 and equilibrium.alloc[1][0] == 1
-    assert equilibrium.alloc[2][2] == 1 and equilibrium.alloc[3][2] == 1
+    rows = dense_rows(exact, equilibrium)
+    assert rows[0][0] == 1 and rows[1][0] == 1
+    assert rows[2][2] == 1 and rows[3][2] == 1
     assert is_pairwise_equilibrium(exact, equilibrium).is_equilibrium
     optimum = total_reward(exact, tight_social_optimum(exact))
     assert total_reward(exact, equilibrium) >= (1 + 2 * a) / (2 + 2 * a) * optimum

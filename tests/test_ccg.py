@@ -34,7 +34,14 @@ from socialmatch.matching import Matching, is_stable, matching_value
 from socialmatch.oracle import enumerate_stable_matchings, max_weight_matching
 from socialmatch.generators import gen_random_ccg
 
-from helpers import NotStableError, ccg_to_json, matching_to_equilibrium, tight_social_optimum
+from helpers import (
+    NotStableError,
+    ccg_to_json,
+    dense_rows,
+    matching_to_equilibrium,
+    profile_from_rows,
+    tight_social_optimum,
+)
 
 PATH = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
@@ -73,7 +80,7 @@ def middle_profile(game, endpoints_on_outer: bool):
     if endpoints_on_outer:
         rows[0][0] = F(1)
         rows[3][2] = F(1)
-    return StrategyProfile.build(game, rows)
+    return profile_from_rows(game, rows)
 
 
 def test_corresponding_product_unit():
@@ -137,7 +144,8 @@ def test_stake_identity_pointwise():
 def test_matching_to_equilibrium_single_edge():
     game = single_edge_game()
     profile = matching_to_equilibrium(game, Matching.of(2, [(0, 1)]))
-    assert profile.alloc[0][0] == 1 and profile.alloc[1][0] == 1
+    rows = dense_rows(game, profile)
+    assert rows[0][0] == 1 and rows[1][0] == 1
     # Equal split pays the full edge reward to each endpoint.
     assert node_rewards(game, profile) == (F(1), F(1))
     assert total_reward(game, profile) == 1
@@ -179,7 +187,7 @@ def test_matching_to_equilibrium_reward_equals_matching_value(split):
 
 def test_all_zero_profile_not_pe():
     game = single_edge_game()
-    profile = StrategyProfile.build(game, [[F(0)], [F(0)]])
+    profile = profile_from_rows(game, [[F(0)], [F(0)]])
     verdict = is_pairwise_equilibrium(game, profile)
     assert not verdict.is_equilibrium
     assert verdict.witness.kind == "bilateral"
@@ -205,15 +213,16 @@ def test_budget_path_atmost_middle_is_pe():
 
 def test_tight_social_optimum_single_edge():
     game = single_edge_game()
-    profile = tight_social_optimum(game)
-    assert profile.alloc[0][0] == 1 and profile.alloc[1][0] == 1
+    rows = dense_rows(game, tight_social_optimum(game))
+    assert rows[0][0] == 1 and rows[1][0] == 1
 
 
 def test_tight_social_optimum_path_outer():
     game = budget_path_game()
     profile = tight_social_optimum(game)
-    assert profile.alloc[0][0] == 1 and profile.alloc[1][0] == 1
-    assert profile.alloc[2][2] == 1 and profile.alloc[3][2] == 1
+    rows = dense_rows(game, profile)
+    assert rows[0][0] == 1 and rows[1][0] == 1
+    assert rows[2][2] == 1 and rows[3][2] == 1
     inst = corresponding_matching_game(game)
     assert total_reward(game, profile) == max_weight_matching(inst)[1]
 
@@ -232,7 +241,8 @@ def test_tight_social_optimum_star_best_spoke():
         mode=ATMOST,
     )
     profile = tight_social_optimum(game)
-    assert profile.alloc[0][1] == 1 and profile.alloc[2][1] == 1
+    rows = dense_rows(game, profile)
+    assert rows[0][1] == 1 and rows[2][1] == 1
     assert total_reward(game, profile) == 3
 
 
@@ -269,8 +279,9 @@ def test_forbidden_preconditions():
 def test_tight_budget_equilibrium_budget_path():
     game = budget_path_game()
     profile = tight_budget_equilibrium(game)
-    assert profile.alloc[0][0] == 1 and profile.alloc[1][0] == 1
-    assert profile.alloc[2][2] == 1 and profile.alloc[3][2] == 1
+    rows = dense_rows(game, profile)
+    assert rows[0][0] == 1 and rows[1][0] == 1
+    assert rows[2][2] == 1 and rows[3][2] == 1
     verdict = is_pairwise_equilibrium(game, profile)
     assert verdict.is_equilibrium
     a = F(1, 2)
@@ -337,7 +348,7 @@ def spread_profile(game):
         incident = game.graph.incident_edges[v]
         for ei in incident:
             rows[v][ei] = part * game.budgets[v] / len(incident)
-    return StrategyProfile.build(game, rows)
+    return profile_from_rows(game, rows)
 
 
 def witness_chain(game, profile, steps, grid_k):
@@ -348,10 +359,7 @@ def witness_chain(game, profile, steps, grid_k):
         yield profile, verdict
         if verdict.witness is None:
             return
-        rows = [list(r) for r in profile.alloc]
-        for node, row in zip(verdict.witness.nodes, verdict.witness.new_rows):
-            rows[node] = list(row)
-        profile = StrategyProfile.build(game, rows)
+        profile = profile.with_rows(game, verdict.witness.nodes, verdict.witness.new_rows)
 
 
 CHAIN_KINDS = ((ATMOST, "equal"), (ATMOST, "matthew"), (ATMOST, "proportional"), (EXACT, "equal"))
@@ -370,11 +378,8 @@ def test_witnesses_improve_under_full_recomputation():
                 w = verdict.witness
                 if w is None:
                     continue
-                rows = [list(r) for r in profile.alloc]
-                for node, row in zip(w.nodes, w.new_rows):
-                    rows[node] = list(row)
                 before = perceived_utilities(game, profile)
-                after = perceived_utilities(game, StrategyProfile.build(game, rows))
+                after = perceived_utilities(game, profile.with_rows(game, w.nodes, w.new_rows))
                 assert w.utilities_before == tuple(before[v] for v in w.nodes), (seed, split)
                 assert w.utilities_after == tuple(after[v] for v in w.nodes), (seed, split)
                 assert all(after[v] > before[v] for v in w.nodes), (seed, split)
@@ -407,10 +412,8 @@ def test_checker_deltas_match_full_recomputation():
                 for i, (kind, nodes, rows, deltas) in enumerate(checker.moves()):
                     if i % 5:
                         continue
-                    new_rows = [list(r) for r in profile.alloc]
-                    for node, row in zip(nodes, rows):
-                        new_rows[node] = list(checker.to_fractions(row))
-                    after = perceived_utilities(game, StrategyProfile.build(game, new_rows))
+                    moved = profile.with_rows(game, nodes, [checker.to_fractions(r) for r in rows])
+                    after = perceived_utilities(game, moved)
                     assert checker.utility_changes(deltas) == tuple(after[v] - before[v] for v in nodes), (
                         seed, split, kind, nodes,
                     )
@@ -455,18 +458,16 @@ def test_checker_deltas_on_mixed_game():
     kinds = set()
     for mode, spend in ((ATMOST, atmost), (EXACT, exact)):
         game = mixed_game(mode)
-        start = StrategyProfile.build(game, [[spend[v].get(ei, F(0)) for ei in range(7)] for v in range(6)])
-        assert start.contributions(game, 4) == (0, 0)
+        start = profile_from_rows(game, [[spend[v].get(ei, F(0)) for ei in range(7)] for v in range(6)])
+        assert start.amounts[4] == (0, 0)
         for profile, _ in witness_chain(game, start, 4, grid_k=4):
             checker = _Checker(game, profile, grid_k=4)
             before = perceived_utilities(game, profile)
             for i, (kind, nodes, rows, deltas) in enumerate(checker.moves()):
                 if i % 3:
                     continue
-                new_rows = [list(r) for r in profile.alloc]
-                for node, row in zip(nodes, rows):
-                    new_rows[node] = list(checker.to_fractions(row))
-                after = perceived_utilities(game, StrategyProfile.build(game, new_rows))
+                moved = profile.with_rows(game, nodes, [checker.to_fractions(r) for r in rows])
+                after = perceived_utilities(game, moved)
                 assert checker.utility_changes(deltas) == tuple(after[v] - before[v] for v in nodes), (mode, kind, nodes)
                 kinds.add(kind)
     assert kinds == {"unilateral", "bilateral", "pair-split"}
@@ -557,17 +558,17 @@ def test_perceived_utilities_alpha_weighting():
 def test_profile_validation():
     game = single_edge_game()
     with pytest.raises(InstanceError):
-        StrategyProfile.build(game, [[F(2)], [F(0)]])  # overspend
+        profile_from_rows(game, [[F(2)], [F(0)]])  # overspend
     with pytest.raises(InstanceError):
-        StrategyProfile.build(game, [[F(-1)], [F(0)]])
+        profile_from_rows(game, [[F(-1)], [F(0)]])
     exact = single_edge_game(mode=EXACT)
     with pytest.raises(InstanceError):
-        StrategyProfile.build(exact, [[F(1, 2)], [F(1)]])
+        profile_from_rows(exact, [[F(1, 2)], [F(1)]])
 
 
 def test_grid_k_below_one_is_rejected():
     game = single_edge_game()
-    profile = StrategyProfile.build(game, [[F(0)], [F(0)]])
+    profile = profile_from_rows(game, [[F(0)], [F(0)]])
     for k in (0, -2):
         with pytest.raises(InstanceError, match="grid_k"):
             is_pairwise_equilibrium(game, profile, grid_k=k)

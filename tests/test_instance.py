@@ -28,6 +28,7 @@ from helpers import (
     PATH3,
     build_distances,
     dense_perceived,
+    profile_from_rows,
     oblivious_instance,
     path3_equal,
     stake_table,
@@ -82,7 +83,7 @@ def _random_contribution_game(rng: random.Random, inst: GameInstance) -> tuple[C
     for v, incident in enumerate(graph.incident_edges):
         for ei in incident:
             rows[v][ei] = game.budgets[v] * rng.randint(0, 2) / (2 * len(incident))
-    return game, StrategyProfile.build(game, rows)
+    return game, profile_from_rows(game, rows)
 
 
 @pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
