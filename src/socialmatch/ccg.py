@@ -32,6 +32,7 @@ from .instance import (
     node_id,
     normalize_edge,
     perceive,
+    require_known_keys,
 )
 from .dynamics import run_brbp
 from .matching import Matching
@@ -204,9 +205,13 @@ class StrategyProfile:
         amounts = [[ZERO, ZERO] for _ in game.graph.edges]
         seen = set()
         try:
-            for entry in doc["alloc"]:
+            entries = doc["alloc"]
+            require_known_keys(doc, ("alloc",), "the profile")
+            for entry in entries:
                 v = node_id(entry["node"])
                 e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))
+                amount = rat(entry["amount"])
+                require_known_keys(entry, ("node", "edge", "amount"), "a profile entry")
                 if not 0 <= v < game.graph.n or e not in game.graph.edge_index:
                     raise InstanceError(f"node {v} on edge {e} is not in the game")
                 if v not in e:
@@ -214,7 +219,7 @@ class StrategyProfile:
                 if (v, e) in seen:
                     raise InstanceError(f"node {v} on edge {e} is listed twice")
                 seen.add((v, e))
-                amounts[game.graph.edge_index[e]][e.index(v)] = rat(entry["amount"])
+                amounts[game.graph.edge_index[e]][e.index(v)] = amount
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise InstanceError(f"malformed profile document: {exc}") from exc
         return StrategyProfile.build(game, amounts)
@@ -841,11 +846,16 @@ def ccg_from_dict(doc: dict) -> ContributionGame:
         mode = doc.get("mode", ATMOST)
         alpha = rat_array(doc.get("alpha", []), "alpha")
         lam = rat_array(doc["lambda"], "lambda") if "lambda" in doc else None
+        require_known_keys(doc, ("nodes", "budgets", "mode", "alpha", "lambda", "functions"), "the game")
         entries = []
         for entry in doc["functions"]:
             e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))
             f = RewardFunction(family=entry["family"], c=rat(entry["c"]), k=entry.get("k", 1))
-            entries.append((e, f, entry.get("split", {"kind": SPLIT_EQUAL})["kind"]))
+            split = entry.get("split", {"kind": SPLIT_EQUAL})
+            entries.append((e, f, split["kind"]))
+            powprod = f.family == FAMILY_POWPROD
+            require_known_keys(entry, ("edge", "family", "c", "split") + (("k",) if powprod else ()), "a function")
+            require_known_keys(split, ("kind",), "a split")
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise InstanceError(f"malformed contribution game document: {exc}") from exc
     entries.sort(key=lambda t: t[0])

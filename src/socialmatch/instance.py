@@ -52,6 +52,14 @@ def node_id(value: object) -> int:
     return value
 
 
+def require_known_keys(doc: dict, known: tuple[str, ...], level: str) -> None:
+    """Reject a key that this level of a JSON document does not read: a
+    misspelled field would otherwise change the input silently."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise InstanceError(f"unknown key {unknown[0]!r} in {level}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on dense integer node ids 0..n-1."""
@@ -447,11 +455,13 @@ def instance_from_dict(doc: dict) -> GameInstance:
         raw_edges = doc["edges"]
         sharing_doc = doc.get("sharing", {"rule": "equal"})
         alpha = rat_array(doc.get("alpha", []), "alpha")
+        require_known_keys(doc, ("nodes", "edges", "sharing", "alpha"), "the instance")
 
         pairs = []
         flipped = []
         for e in raw_edges:
             u, v = node_id(e["u"]), node_id(e["v"])
+            require_known_keys(e, ("u", "v", "r"), "an edge")
             pairs.append(normalize_edge(u, v))
             flipped.append(u > v)
         graph = Graph(n, tuple(pairs))
@@ -490,6 +500,7 @@ def instance_from_dict(doc: dict) -> GameInstance:
                 aligned = []
                 for i in order:
                     a, b = rat(share_docs[i]["u"]), rat(share_docs[i]["v"])
+                    require_known_keys(share_docs[i], ("u", "v"), "an oblivious share")
                     aligned.append((b, a) if flipped[i] else (a, b))
                 sharing = ObliviousSharing(shares=tuple(aligned))
             elif rule == "matthew":
@@ -498,6 +509,8 @@ def instance_from_dict(doc: dict) -> GameInstance:
                 sharing = ParasiteSharing(lam=rat_array(sharing_doc["lambda"], "lambda"))
             else:
                 raise InstanceError(f"unknown sharing rule {rule!r}")
+        fields = {"oblivious": ("shares",), "matthew": ("lambda",), "parasite": ("lambda",), "trust": ("beta", "h")}
+        require_known_keys(sharing_doc, ("rule", *fields.get(rule, ())), "the sharing object")
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .instance import ZERO, Edge, GameInstance, InstanceError, node_id, normalize_edge, perceive
+from .instance import ZERO, Edge, GameInstance, InstanceError, node_id, normalize_edge, perceive, require_known_keys
 from .rationals import rat_str
 
 SWIVEL = "swivel"
@@ -82,6 +82,7 @@ class Matching:
             pairs = [(node_id(u), node_id(v)) for u, v in doc["pairs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"malformed matching document: {exc}") from exc
+        require_known_keys(doc, ("pairs",), "the matching")
         return Matching.of(n, pairs)
 
 
@@ -100,7 +101,6 @@ class Deviation:
     kind: str
     pair: Edge
     removed: tuple[Edge, ...]
-    added: Edge
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def _deviation(partner: Sequence[Optional[int]], u: int, v: int, kind: str) -> D
         removed.append(normalize_edge(u, w))
     if z is not None and z != u:
         removed.append(normalize_edge(v, z))
-    return Deviation(kind=kind, pair=normalize_edge(u, v), removed=tuple(sorted(removed)), added=normalize_edge(u, v))
+    return Deviation(kind=kind, pair=normalize_edge(u, v), removed=tuple(sorted(removed)))
 
 
 def apply_deviation(matching: Matching, deviation: Deviation) -> Matching:
@@ -312,5 +312,5 @@ def apply_deviation(matching: Matching, deviation: Deviation) -> Matching:
     pairs = set(matching.pairs)
     for e in deviation.removed:
         pairs.discard(e)
-    pairs.add(deviation.added)
+    pairs.add(deviation.pair)
     return Matching(n=matching.n, pairs=frozenset(pairs))

@@ -452,6 +452,65 @@ def test_rational_arrays_must_be_json_arrays(tmp_path, capsys, command, doc):
     assert err.count("\n") == 1 and "must be a JSON array" in err
 
 
+_PATH3 = {"nodes": 4, "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}, {"u": 2, "v": 3, "r": "1"}]}
+_HALVES = {"u": "1/2", "v": "1/2"}
+_PRODUCT = _GAME["functions"][0]
+
+# case -> (document kind, document, the key and level the error names)
+UNKNOWN_KEYS = {
+    "instance": ("instance", {**_PATH3, "alhpa": ["1/2"]}, "'alhpa' in the instance"),
+    "edge": (
+        "instance",
+        {**_PATH3, "edges": [*_PATH3["edges"][:2], {"u": 2, "v": 3, "r": "1", "rr": "2"}]},
+        "'rr' in an edge",
+    ),
+    "sharing": (
+        "instance",
+        {**_PATH3, "sharing": {"rule": "equal", "lambda": ["1"] * 4}},
+        "'lambda' in the sharing object",
+    ),
+    "oblivious-share": (
+        "instance",
+        {**_PATH3, "sharing": {"rule": "oblivious", "shares": [_HALVES, _HALVES, {**_HALVES, "w": "1"}]}},
+        "'w' in an oblivious share",
+    ),
+    "game": ("game", {**_GAME, "budget": ["2", "2"]}, "'budget' in the game"),
+    "function-k": ("game", {**_GAME, "functions": [{**_PRODUCT, "k": 3}]}, "'k' in a function"),
+    "split": (
+        "game",
+        {**_GAME, "functions": [{**_PRODUCT, "split": {"kind": "equal", "lambda": "1"}}]},
+        "'lambda' in a split",
+    ),
+    "matching": ("matching", {"pairs": [[0, 1]], "pair": [[2, 3]]}, "'pair' in the matching"),
+    "profile": ("profile", {"alloc": [], "allocs": []}, "'allocs' in the profile"),
+    "profile-entry": (
+        "profile",
+        {"alloc": [{"node": 0, "edge": [0, 1], "amount": "1", "amuont": "1/2"}]},
+        "'amuont' in a profile entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_KEYS)
+def test_unknown_keys_exit_1(tmp_path, capsys, case):
+    # Each key used to be ignored: the command exited 0, with the output of
+    # the document without it.
+    kind, doc, named = UNKNOWN_KEYS[case]
+    path, ipath, gpath = tmp_path / "doc.json", tmp_path / "path3.json", tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    ipath.write_text(json.dumps(_PATH3))
+    gpath.write_text(json.dumps(_GAME))
+    argv = {
+        "instance": ["solve", "--instance", path, "--method", "brbp"],
+        "game": ["ccg", "--game", path],
+        "matching": ["check", "--instance", ipath, "--matching", path],
+        "profile": ["check", "--game", gpath, "--profile", path],
+    }[kind]
+    code, out, err = run(capsys, *map(str, argv))
+    _assert_exit_1(code, out, err, case)
+    assert err == f"error: unknown key {named}\n"
+
+
 @pytest.mark.parametrize("density", ["1.5", "-0.5", "nan", "inf"])
 def test_gen_random_rejects_density_outside_unit_interval(tmp_path, capsys, density):
     # Each used to exit 0: below 0 or nan drew no edge, above 1 every edge.
