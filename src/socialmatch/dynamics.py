@@ -66,12 +66,8 @@ class DynamicsTrace:
     in between only ever raise the matching value.
     """
 
-    policy: str
     edge_count: int
-    initial: Matching
-    initial_value: Fraction
     steps: tuple[TraceStep, ...]
-    final: Matching
     termination: str  # "stable" or "cap"
 
     def to_jsonl(self) -> str:
@@ -124,7 +120,7 @@ def _run(
     partner = list(start.partner_map)
     blocking = [partner[u] != v and _pair_check(instance, partner, u, v, relaxed) for u, v in edges]
     queue = sorted(position[i] for i, b in enumerate(blocking) if b)
-    initial_value = value = matching_value(instance, start)
+    value = matching_value(instance, start)
     steps: list[TraceStep] = []
     while True:
         if not queue:
@@ -166,16 +162,7 @@ def _run(
         n=graph.n,
         pairs=frozenset((x, y) for x, y in enumerate(partner) if y is not None and x < y),
     )
-    trace = DynamicsTrace(
-        policy=policy,
-        edge_count=len(edges),
-        initial=start,
-        initial_value=initial_value,
-        steps=tuple(steps),
-        final=final,
-        termination=termination,
-    )
-    return final, trace
+    return final, DynamicsTrace(edge_count=len(edges), steps=tuple(steps), termination=termination)
 
 
 def run_brbp(
@@ -279,7 +266,7 @@ def assert_trace_lemmas(trace: DynamicsTrace) -> TraceLemmaReport:
     steps = trace.steps
     biswivel_kinds = (BISWIVEL, RELAXED_BISWIVEL)
     biswivels = [s for s in steps if s.deviation.kind in biswivel_kinds]
-    edges = [s.deviation.added for s in biswivels]
+    edges = [s.deviation.pair for s in biswivels]
 
     ordering = monotone = True
     lowest = prev_value = None  # smallest reward and last value before the current step

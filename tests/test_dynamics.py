@@ -259,18 +259,12 @@ def test_negative_cap_is_rejected():
 
 
 def _hand_trace(edge_count: int, steps) -> DynamicsTrace:
-    """A trace built from (kind, pair, reward, value after) rows; the matchings are placeholders."""
-    empty = Matching.empty(4)
+    """A trace built from (kind, pair, reward, value after) rows."""
     return DynamicsTrace(
-        policy="brbp",
         edge_count=edge_count,
-        initial=empty,
-        initial_value=F(0),
         steps=tuple(
-            TraceStep(i, Deviation(kind, pair, (), pair), F(r), F(value))
-            for i, (kind, pair, r, value) in enumerate(steps)
+            TraceStep(i, Deviation(kind, pair, ()), F(r), F(value)) for i, (kind, pair, r, value) in enumerate(steps)
         ),
-        final=empty,
         termination="stable",
     )
 
