@@ -555,7 +555,8 @@ class _Checker:
 
     def _pair_moves(self, kind: str, u: int, v: int, shared: Optional[int], rows_u: list, rows_v: list):
         """Candidates pairing each row of u with each row of v, except the
-        pair leaving both rows as they are.
+        pair leaving both rows as they are and, for pair-split moves, pairs
+        that both move onto the shared edge, which are bilateral moves.
 
         ``shared`` is the edge of u and v, if any: the only edge that both
         rows can change.
@@ -571,10 +572,10 @@ class _Checker:
             for row_v, ((vu, vv), den_v) in zip(rows_v, sides_v):
                 if row_u == cur_u and row_v == cur_v:
                     continue
+                if kind == "pair-split" and shared is not None and row_u[at_u] and row_v[at_v]:
+                    continue
                 du, dv, den = uu * den_v + vu * den_u, uv * den_v + vv * den_u, den_u * den_v
                 if shared is not None:
-                    if kind == "pair-split" and row_u[at_u] and row_v[at_v]:
-                        continue  # both moving onto the shared edge is bilateral
                     _, _, g_u, g_v, d = self._gain(shared, row_u[at_u], row_v[at_v])
                     du, dv, den = du * d + g_u * den, dv * d + g_v * den, den * d
                 yield kind, observers, (row_u, row_v), ((du, dv), den)

@@ -55,9 +55,9 @@ def node_id(value: object) -> int:
 def require_known_keys(doc: dict, known: tuple[str, ...], level: str) -> None:
     """Reject a key that this level of a JSON document does not read: a
     misspelled field would otherwise change the input silently."""
-    unknown = sorted(set(doc) - set(known))
+    unknown = doc.keys() - known
     if unknown:
-        raise InstanceError(f"unknown key {unknown[0]!r} in {level}")
+        raise InstanceError(f"unknown key {min(unknown)!r} in {level}")
 
 
 @dataclass(frozen=True)

@@ -557,7 +557,6 @@ def test_non_integer_node_ids_in_games_and_profiles_exit_1(tmp_path, capsys):
         [{"node": 3, "edge": [1, 2], "amount": "1"}],
         [{"node": 0, "edge": [0, 2], "amount": "1"}],
         [{"node": 0, "edge": [0, 1], "amount": 0.5}],
-        [{"node": 0, "edge": [1, 2], "amount": "1"}],
         [{"node": 0, "edge": [1, 2], "amount": "0"}],  # used to pass: a zero amount was dropped
         [7],
     ):
@@ -565,7 +564,8 @@ def test_non_integer_node_ids_in_games_and_profiles_exit_1(tmp_path, capsys):
         _assert_exit_1(*run(capsys, "check", "--game", str(gpath), "--profile", str(ppath)), alloc)
     for amount in ("1", "0"):
         ppath.write_text(json.dumps({"alloc": [{"node": 0, "edge": [1, 2], "amount": amount}]}))
-        _, _, err = run(capsys, "check", "--game", str(gpath), "--profile", str(ppath))
+        code, out, err = run(capsys, "check", "--game", str(gpath), "--profile", str(ppath))
+        _assert_exit_1(code, out, err, amount)
         assert err == "error: node 0 allocates to non-incident edge (1, 2)\n", amount
 
 
