@@ -10,9 +10,10 @@ code.  Each ccg golden runs ``socialmatch ccg --game <name>.game.json`` on
 a committed game made by ``generators.gen_random_ccg`` with the arguments
 of ``CCG_GAMES``; ``<name>.out`` holds its stdout.  Each check-ccg golden
 runs ``socialmatch check --game --profile`` at n=1000 on a game and profile
-that ``check_profile_output`` builds.  The files pin the full output, so a change that alters it the same way on every run still shows.  Regenerate them with
-``PYTHONPATH=src python tests/test_golden.py``, and only when a change of
-output is intended.
+that ``check_profile_output`` builds.  The files pin the full output, so a
+change that alters it the same way on every run still shows.  Regenerate
+them with ``PYTHONPATH=src python tests/test_golden.py``, and only when a
+change of output is intended.
 """
 
 from __future__ import annotations
