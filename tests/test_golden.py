@@ -19,6 +19,7 @@ change of output is intended.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -111,6 +112,13 @@ COMMANDS = {
         ["random", "--seed", "5", "--n", "10000", "--density", "0.001", "--rule", "matthew", "--alpha", "1/2,1/4"],
         ["solve", "--method", "greedy"],
         2,
+    ),
+    # The same n=10⁴ instance: q-keys see friendship, and they have no
+    # cycle, so srpq solves it greedily and the matching is stable.
+    "solve-srpq-matthew-n10000": (
+        ["random", "--seed", "5", "--n", "10000", "--density", "0.001", "--rule", "matthew", "--alpha", "1/2,1/4"],
+        ["solve", "--method", "srpq"],
+        0,
     ),
     "solve-srpq-equal": (
         ["random", "--seed", "9", "--n", "10", "--alpha", "1/2"],
@@ -213,11 +221,20 @@ def audit_output(gadget: str, workdir: Path) -> tuple[int, str]:
     return _run(["audit", "--instance", str(path)])[:2]
 
 
+@functools.lru_cache(maxsize=None)
+def generated(gen: tuple[str, ...]) -> str:
+    """The instance document ``gen`` writes, made once per session: goldens
+    that share an instance, like the two at n=10⁴, share its generation."""
+    code, text, _ = _run(["gen", *gen])
+    assert code == 0
+    return text
+
+
 def command_output(name: str, workdir: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of the named command on its instance."""
     gen, (command, *flags), _ = COMMANDS[name]
     path = workdir / f"{name}.json"
-    assert _run(["gen", *gen, "--out", str(path)])[0] == 0
+    path.write_text(generated(tuple(gen)), encoding="utf-8")
     return _run([command, "--instance", str(path), *flags])
 
 
