@@ -190,14 +190,13 @@ def cmd_solve(args) -> int:
     else:
         print(f"unknown method {args.method!r}", file=sys.stderr)
         return EXIT_ERROR
-    verdict = is_stable(instance, matched)
+    # solve_srp_q checks its matching's stability and raises if it is blocked.
+    stable = args.method == "srpq" or is_stable(instance, matched).stable
     report["matching"] = matched.to_dict()
     report["value"] = rat_str(matching_value(instance, matched))
-    report["stable"] = verdict.stable
+    report["stable"] = stable
     _emit(report, args.format)
-    if not verdict.stable:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return EXIT_OK if stable else EXIT_NEGATIVE
 
 
 def cmd_audit(args) -> int:

@@ -232,14 +232,14 @@ class GameInstance:
         if len(self.rewards) != m:
             raise InstanceError("one reward per edge required")
         for i, r in enumerate(self.rewards):
-            if r <= 0:
+            if r.numerator <= 0:
                 raise InstanceError(f"edge {self.graph.edges[i]} has nonpositive reward {r}")
         s = self.sharing
         if isinstance(s, ObliviousSharing):
             if len(s.shares) != m:
                 raise InstanceError("oblivious sharing needs one share pair per edge")
             for i, (a, b) in enumerate(s.shares):
-                if a < 0 or b < 0:
+                if a.numerator < 0 or b.numerator < 0:
                     raise InstanceError(f"negative share on edge {self.graph.edges[i]}")
                 if a + b != self.rewards[i]:
                     raise InstanceError(
@@ -249,16 +249,16 @@ class GameInstance:
             if len(s.lam) != n:
                 raise InstanceError("one lambda per node required")
             for v, lam in enumerate(s.lam):
-                if lam <= 0:
+                if lam.numerator <= 0:
                     raise InstanceError(f"lambda of node {v} must be positive")
         elif isinstance(s, TrustSharing):
             if len(s.beta) != n or len(s.h) != m:
                 raise InstanceError("trust sharing needs one beta per node and one h per edge")
             for v, b in enumerate(s.beta):
-                if b < 0:
+                if b.numerator < 0:
                     raise InstanceError(f"beta of node {v} must be nonnegative")
             for i, h in enumerate(s.h):
-                if h < 0:
+                if h.numerator < 0:
                     raise InstanceError(f"h of edge {self.graph.edges[i]} must be nonnegative")
             unit, sums = trust_rewards(self.graph.edges, s.beta, s.h)
             for i, (r, total) in enumerate(zip(self.rewards, sums)):

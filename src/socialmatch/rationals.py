@@ -16,17 +16,28 @@ def rat(value: int | str | Fraction) -> Fraction:
 
     Strings may be "p/q" or decimal ("0.25"); both parse exactly.  A bool
     is not a rational: JSON ``true`` must not read as 1, and "p/0" is not
-    one either (``InstanceError``).
+    one either (``InstanceError``).  The forms ``rat_str`` writes, an ASCII
+    integer with an optional "-" and optionally "/" and an ASCII
+    denominator, are split and read with ``int``; every other string goes
+    to ``Fraction(str)``, which gives the same value or the same error.
     """
+    if isinstance(value, str):
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        sign = -1 if num[:1] == "-" else 1
+        digits = num[1:] if sign < 0 else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            q = int(den) if slash else 1
+            if q:
+                return Fraction(sign * int(digits), q)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise InstanceError(f"zero denominator in {value!r}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise InstanceError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not a rational: {value!r}")
 
 

@@ -9,6 +9,7 @@ certifies stability under friendship.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from typing import Optional
 
@@ -104,49 +105,62 @@ def detect_preference_cycle(instance: GameInstance, mode: str = MODE_RAW) -> Opt
     preference is strict.  A strict arc lying on a directed cycle of that
     digraph is exactly a staircase cycle, and it lies on one exactly when
     its two ends share a strongly connected component.  One Tarjan pass
-    labels the components; a BFS then walks back along the first such arc
-    only, for the witness.  The returned witness may revisit nodes on
+    labels the components; then only the states of components with more
+    than one state are scanned, in state order, for such an arc, and a BFS
+    walks back along the first one only, for the witness.  The returned witness may revisit nodes on
     contrived instances but always satisfies the defining inequalities.
     """
     return _preference_cycle(instance, _key_table(instance, mode))
 
 
 def _preference_cycle(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> Optional[tuple[int, ...]]:
-    graph = instance.graph
-    states = [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
-    states.sort()
-    index = {s: i for i, s in enumerate(states)}
-    succ: list[list[int]] = [[] for _ in states]
-    strict_arcs: list[tuple[int, int]] = []
-    for si, (a, b) in enumerate(states):
+    adjacency = instance.graph.adjacency
+    # State (a, b) has id start[a] + the position of b in adjacency[a]: the
+    # sorted order of the oriented edges.  twin[s] is the id of s reversed.
+    start = [0]
+    for nbrs in adjacency:
+        start.append(start[-1] + len(nbrs))
+    seen = start[:-1]  # per node b, the id of b's next state to be twinned
+    twin = []
+    for nbrs in adjacency:  # per node a, in rising order
+        for b in nbrs:  # so a is the next entry of b's sorted list
+            twin.append(seen[b])
+            seen[b] += 1
+    key: list[int] = []  # per state (b, c): the key b assigns to c
+    succ: list[list[int]] = [[]] * len(twin)
+    for b, nbrs in enumerate(adjacency):
         kb = keys[b]
-        kb_a = kb[a]
-        for c in graph.adjacency[b]:
-            if c == a:
-                continue
-            kb_c = kb[c]
-            if kb_c >= kb_a:
-                ti = index[(b, c)]
-                succ[si].append(ti)
-                if kb_c > kb_a:
-                    strict_arcs.append((si, ti))
+        row = [kb[c] for c in nbrs]
+        key += row
+        ids = range(start[b], start[b + 1])
+        for t, kb_a in zip(ids, row):
+            # (a, b) -> (b, c) for every c != a that b weakly prefers to a.
+            succ[twin[t]] = [u for u, kb_c in zip(ids, row) if kb_c >= kb_a and u != t]
 
     comp = _components(succ)
-    for si, ti in strict_arcs:
-        if comp[si] == comp[ti]:
-            # BFS for a state path ti .. si; the strict arc closes si -> ti.
-            prev = {ti: -1}
-            queue = deque([ti])
-            while si not in prev:
-                x = queue.popleft()
-                for y in succ[x]:
-                    if y not in prev:
-                        prev[y] = x
-                        queue.append(y)
-            back = [si]
-            while prev[back[-1]] != -1:
-                back.append(prev[back[-1]])
-            return tuple(states[i][0] for i in reversed(back))
+    size = [0] * len(twin)
+    for label in comp:
+        size[label] += 1
+    for si, successors in enumerate(succ):
+        label = comp[si]
+        if size[label] < 2:
+            continue
+        kb_a = key[twin[si]]
+        for ti in successors:
+            if comp[ti] == label and key[ti] > kb_a:
+                # BFS for a state path ti .. si; the strict arc closes si -> ti.
+                prev = {ti: -1}
+                queue = deque([ti])
+                while si not in prev:
+                    x = queue.popleft()
+                    for y in succ[x]:
+                        if y not in prev:
+                            prev[y] = x
+                            queue.append(y)
+                back = [si]
+                while prev[back[-1]] != -1:
+                    back.append(prev[back[-1]])
+                return tuple(bisect_right(start, i) - 1 for i in reversed(back))
     return None
 
 
