@@ -131,6 +131,10 @@ GADGETS = {
             seed=a.seed, n=a.n, density=a.density, rule=a.rule, alpha=_alpha_list(a.alpha)
         ),
     ),
+    "sparse": (
+        ("--seed", "--n", "--m", "--rule", "--alpha"),
+        lambda a: generators.gen_sparse(seed=a.seed, n=a.n, m=a.m, rule=a.rule, alpha=_alpha_list(a.alpha)),
+    ),
     "aux-augment": (
         ("--instance", "--eps"),
         lambda a: generators.augment_with_auxiliary_neighbors(instance_from_json(_read(a.instance)), rat(a.eps)),
@@ -146,6 +150,7 @@ GADGET_FLAGS = {
     "--seed": dict(type=int, default=0),
     "--n": dict(type=int, default=6),
     "--density": dict(type=float, default=0.5),
+    "--m": dict(type=int, required=True, help="number of edges, at most n(n-1)/2"),
     "--rule": dict(default="equal", choices=("equal", "matthew", "parasite", "trust", "oblivious")),
     "--instance": dict(required=True, help="base instance JSON path"),
 }

@@ -6,6 +6,7 @@ middle-left, middle-right, outer-right); the middle edge is (1, 2).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -35,6 +36,32 @@ def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
     if not 0 <= density <= 1:  # false for nan as well
         raise InstanceError(f"density must lie in [0, 1], got {density}")
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density))
+
+
+def _sparse_graph(rng: random.Random, n: int, m: int) -> Graph:
+    """Exactly m distinct edges, every m-set of node pairs equally likely.
+
+    The G(n, m) sampler of Batagelj & Brandes 2005 ("Efficient generation
+    of large random networks"): draw pair indices with ``rng.randrange``
+    until m distinct ones are in hand, or, above half of all pairs, the
+    pairs to leave out.  That takes O(n + m) expected time.  Index k is the
+    pair (k - v(v-1)/2, v) with v(v-1)/2 <= k < v(v+1)/2.
+    """
+    if n < 0 or m < 0:
+        raise InstanceError(f"node and edge counts must be nonnegative, got n={n}, m={m}")
+    pairs = n * (n - 1) // 2
+    if m > pairs:
+        raise InstanceError(f"m={m} exceeds the {pairs} node pairs of n={n}")
+    dense = 2 * m > pairs
+    drawn: set[int] = set()
+    while len(drawn) < (pairs - m if dense else m):
+        drawn.add(rng.randrange(pairs))
+    chosen = (k for k in range(pairs) if k not in drawn) if dense else drawn
+    edges = []
+    for k in chosen:
+        v = (1 + math.isqrt(1 + 8 * k)) // 2
+        edges.append((k - v * (v - 1) // 2, v))
+    return Graph(n, tuple(edges))
 
 
 def gen_path3_equal(alpha: Sequence = ()) -> GameInstance:
@@ -264,10 +291,33 @@ def gen_random(
     in 1..4 (trust instances derive rewards from their h and beta draws).
     """
     rng = random.Random(seed)
-    lo, hi = reward_range
-    if lo < 1:
+    if reward_range[0] < 1:
         raise InstanceError("rewards must stay positive: reward_range[0] >= 1")
-    graph = _random_graph(rng, n, density)
+    return _random_instance(rng, _random_graph(rng, n, density), reward_range, rule, alpha)
+
+
+def gen_sparse(
+    seed: int,
+    n: int,
+    m: int,
+    reward_range: tuple[int, int] = (1, 8),
+    rule: str = "equal",
+    alpha: Sequence = (),
+) -> GameInstance:
+    """Seeded random instance with exactly m edges, drawn in O(n + m) expected
+    time; rewards and sharing are drawn as in ``gen_random``."""
+    rng = random.Random(seed)
+    if reward_range[0] < 1:
+        raise InstanceError("rewards must stay positive: reward_range[0] >= 1")
+    return _random_instance(rng, _sparse_graph(rng, n, m), reward_range, rule, alpha)
+
+
+def _random_instance(
+    rng: random.Random, graph: Graph, reward_range: tuple[int, int], rule: str, alpha: Sequence
+) -> GameInstance:
+    """Rewards and the sharing rule's parameters drawn from rng, in this order, for graph."""
+    n = graph.n
+    lo, hi = reward_range
     rewards = [Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 4))) for _ in graph.edges]
 
     sharing: object

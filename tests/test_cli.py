@@ -669,13 +669,14 @@ def test_dynamics_seed_only_with_arbitrary(tmp_path, capsys):
         ("aux-augment", "--alpha", "1/2"),
         ("nonexistence", "--R", "3"),
         ("cyclic-triangle", "--n", "5"),
+        ("sparse", "--density", "0.5"),
     ],
 )
 def test_gen_rejects_flags_its_gadget_does_not_read(tmp_path, capsys, gadget, flag, value):
     # --alpha is not taken as an abbreviation of --alpha1 either.
     base = tmp_path / "base.json"
     run(capsys, "gen", "path3", "--out", str(base))
-    required = ["--instance", str(base)] if gadget == "aux-augment" else []
+    required = {"aux-augment": ["--instance", str(base)], "sparse": ["--m", "4"]}.get(gadget, [])
     code, out, err = run(capsys, "gen", gadget, *required, flag, value)
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: {flag} {value}" in err
@@ -697,14 +698,46 @@ def test_gen_accepts_every_flag_its_gadget_reads(tmp_path, capsys):
         "nonexistence": [],
         "cyclic-triangle": [],
         "random": ["--seed", "--n", "--density", "--rule", "--alpha"],
+        "sparse": ["--seed", "--n", "--rule", "--alpha"],
         "aux-augment": ["--eps"],
     }
     for gadget, flags in reads.items():
-        required = ["--instance", str(base)] if gadget == "aux-augment" else []
+        required = {"aux-augment": ["--instance", str(base)], "sparse": ["--m", "4"]}.get(gadget, [])
         plain = run(capsys, "gen", gadget, *required)
         assert plain[0] == 0 and plain[2] == ""
         explicit = [arg for flag in flags for arg in (flag, defaults[flag])]
         assert run(capsys, "gen", gadget, *required, *explicit) == plain, gadget
+
+
+def test_gen_sparse_one_seed_one_document(capsys):
+    argv = ("gen", "sparse", "--seed", "3", "--n", "40", "--m", "70", "--rule", "matthew", "--alpha", "1/2")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv) == (0, out, "")
+    assert len(instance_from_json(out).graph.edges) == 70
+    other = run(capsys, *argv[:3], "4", *argv[4:])
+    assert other[0] == 0 and other[1] != out
+
+
+@pytest.mark.parametrize(
+    "n,m,err",
+    [
+        ("4", "7", "error: m=7 exceeds the 6 node pairs of n=4\n"),
+        ("1", "1", "error: m=1 exceeds the 0 node pairs of n=1\n"),
+        ("4", "-1", "error: node and edge counts must be nonnegative, got n=4, m=-1\n"),
+        ("-3", "2", "error: node and edge counts must be nonnegative, got n=-3, m=2\n"),
+    ],
+)
+def test_gen_sparse_rejects_impossible_counts(tmp_path, capsys, n, m, err):
+    path = tmp_path / "inst.json"
+    assert run(capsys, "gen", "sparse", f"--n={n}", f"--m={m}", "--out", str(path)) == (1, "", err)
+    assert not path.exists()
+
+
+def test_gen_sparse_requires_m(capsys):
+    code, out, err = run(capsys, "gen", "sparse")
+    assert (code, out) == (1, "")
+    assert "the following arguments are required: --m" in err
 
 
 def test_gen_aux_augment_requires_instance(capsys):

@@ -26,6 +26,7 @@ from socialmatch.generators import (
     gen_path3_equal,
     gen_pos_tight,
     gen_random,
+    gen_sparse,
 )
 
 from helpers import stake_table
@@ -145,6 +146,37 @@ def test_gen_random_deterministic():
     assert instance_to_json(a) == instance_to_json(b)
     c = gen_random(seed=43, n=9, density=0.5, rule="trust", alpha=(F(1, 2), F(1, 4)))
     assert a != c
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (2, 1), (6, 0), (6, 7), (6, 8), (6, 15), (30, 40), (30, 400)])
+def test_gen_sparse_draws_exactly_m_distinct_edges(n, m):
+    # m = 8 and 15 of 15 pairs take the complement branch, 7 the direct one.
+    for seed in range(5):
+        inst = gen_sparse(seed=seed, n=n, m=m, rule="trust")
+        assert inst.graph.n == n and len(inst.graph.edges) == m
+        assert gen_sparse(seed=seed, n=n, m=m, rule="trust") == inst
+    if m == 0 or 2 * m == n * (n - 1):
+        return
+    seen = {gen_sparse(seed=seed, n=n, m=m).graph.edges for seed in range(20)}
+    assert len(seen) > 1
+
+
+def test_gen_sparse_reaches_every_pair():
+    # Every pair of 5 nodes appears in some 3-edge draw, from either end of
+    # the pair-index range.
+    drawn = set()
+    for seed in range(60):
+        drawn.update(gen_sparse(seed=seed, n=5, m=3).graph.edges)
+    assert drawn == {(u, v) for u in range(5) for v in range(u + 1, 5)}
+
+
+@pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
+def test_gen_sparse_instances_valid(rule):
+    for seed in range(10):
+        inst = gen_sparse(seed=seed, n=12, m=20, rule=rule, alpha=(F(1, 2),))
+        assert inst.sharing.rule == rule
+        assert all(r > 0 for r in inst.rewards)
+        assert all(su + sv == r for (su, sv), r in zip(inst.shares, inst.rewards))
 
 
 def test_gen_random_density_controls_edges():
