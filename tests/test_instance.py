@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -36,7 +37,7 @@ from helpers import (
 from socialmatch.ccg import ContributionGame, RewardFunction, StrategyProfile, node_rewards, perceived_utilities
 from socialmatch.generators import gen_matthew_poa_tight, gen_random
 from socialmatch.matching import Matching, perceived_utility, utility_profile
-from socialmatch.rationals import rescale
+from socialmatch.rationals import rat, rescale
 
 
 def test_distances_single_edge():
@@ -316,6 +317,67 @@ def test_json_parses_decimal_and_fraction_strings():
     # "u" share belongs to node 1 as written, flipped into canonical order.
     assert inst.shares[0] == (F(1, 20), F(1, 5))
     assert inst.friendship.alpha1 == F(1, 2)
+
+
+def _parsed(parse, text):
+    """parse(text), or the type and message of what it raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the comparison is over every failure
+        return type(exc), str(exc)
+
+
+def _fraction_reference(text):
+    """What ``rat`` promises for a string: ``Fraction`` of it stripped, with
+    a zero denominator reported as an ``InstanceError``."""
+    try:
+        return F(text.strip())
+    except ZeroDivisionError:
+        raise InstanceError(f"zero denominator in {text!r}") from None
+
+
+RAT_CASES = ("3/0", "-0/5", "007/010", "+3/4", "1_000", "0.25", "1e3", " 3/4 ", "3 /4", "\u0663/4")
+RAT_CASES += ("-", "3/", "", "--3", "3/-4", "3/4/5", "-3/4")
+
+
+@pytest.mark.parametrize("text", RAT_CASES + ("7" * 5000, "-" + "7" * 5000 + "/3", "3/" + "7" * 5000))
+def test_rat_matches_fraction_on_pinned_strings(text):
+    # 5,000 digits is past Python's limit on converting digit strings to
+    # int, so those fail with the ValueError that Fraction gives.
+    assert _parsed(rat, text) == _parsed(_fraction_reference, text)
+
+
+@given(st.text(alphabet="0123456789\u0663-+/.e_ ", max_size=12))
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+def test_rat_matches_fraction_on_generated_strings(text):
+    expected = _parsed(_fraction_reference, text)
+    got = _parsed(rat, text)
+    assert got == expected
+    if isinstance(expected, F):
+        assert type(got) is F
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda x: path3_equal((1, x, 1)), "edge (1, 2) has nonpositive reward"),
+        (lambda x: oblivious_instance(PATH3, {(0, 1): (1, 1), (1, 2): (x - 1, 3), (2, 3): (1, 1)}), "negative share on edge (1, 2)"),
+        (lambda x: dataclasses.replace(gen_matthew_poa_tight(2), sharing=MatthewSharing(lam=(1, x, 1, 1))), "lambda of node 1 must be positive"),
+        (lambda x: GameInstance(PATH3, (2 + x, 2 + x, 2), TrustSharing(beta=(2, x, 0, 0), h=(0, 1, 1)), FriendshipVector()), "beta of node 1 must be nonnegative"),
+        (lambda x: GameInstance(PATH3, (4, 2 * x + 4, 4), TrustSharing(beta=(0, 2, 2, 0), h=(1, x, 1)), FriendshipVector()), "h of edge (1, 2) must be nonnegative"),
+    ],
+)
+def test_sign_checks_reject_with_their_messages(build, message):
+    # Each value is tried as a Fraction and as an int, below 0 and, where
+    # 0 is not allowed either, at 0; the other values keep the instance
+    # valid, as the last build shows.
+    for x in (F(0), F(-1), 0, -1, F(-1, 3)):
+        if "nonnegative" in message and x == 0:
+            continue
+        with pytest.raises(InstanceError) as info:
+            build(x)
+        assert str(info.value).startswith(message), (message, x)
+    build(F(1))
 
 
 def test_trust_json_rewards_derived_when_omitted():

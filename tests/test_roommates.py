@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from socialmatch.instance import Graph
+from socialmatch.instance import FriendshipVector, GameInstance, Graph, MatthewSharing
 from socialmatch.matching import Matching, is_stable
 from socialmatch.oracle import enumerate_stable_matchings
 from socialmatch.roommates import (
@@ -91,6 +92,64 @@ def test_cycle_detector_matches_per_arc_bfs(rule):
                 cycles += found is not None
     if rule == "oblivious":
         assert cycles > 0
+
+
+def _tie_heavy_instance(rng, n, rule, alpha):
+    """A random graph with rewards drawn from {1, 2}; brand values or splits
+    from three values, so that many keys tie."""
+    graph = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < max(0.15, 4 / n)))
+    rewards = [rng.choice((1, 2)) for _ in graph.edges]
+    if rule == "equal":
+        return equal_instance(graph, rewards, alpha)
+    if rule == "matthew":
+        lam = tuple(F(rng.choice((1, 2, 3))) for _ in range(n))
+        return GameInstance(graph, tuple(map(F, rewards)), MatthewSharing(lam=lam), FriendshipVector(alpha))
+    splits = [rng.choice((F(1, 3), F(1, 2), F(2, 3))) for _ in graph.edges]
+    return oblivious_instance(graph, {e: (t * r, (1 - t) * r) for e, r, t in zip(graph.edges, rewards, splits)}, alpha)
+
+
+@pytest.mark.parametrize("rule", ("equal", "matthew", "oblivious"))
+def test_cycle_detector_matches_per_arc_bfs_under_ties(rule):
+    # Ties make weak arcs both ways, so strongly connected components with
+    # no strict arc inside appear; the detector skips their states without
+    # a witness, and must still agree with the per-arc BFS oracle.
+    # Raw keys ignore friendship, so only q keys get alpha = (1/2,).
+    rng = random.Random(f"ties-{rule}")
+    tied = False
+    cycles = 0
+    for mode, alpha in ((MODE_RAW, ()), (MODE_Q, (F(1, 2),))):
+        for n in range(4, 61):
+            inst = _tie_heavy_instance(rng, n, rule, alpha)
+            found = detect_preference_cycle(inst, mode)
+            assert found == bfs_preference_cycle(inst, mode), (rule, mode, n)
+            cycles += found is not None
+            tied = tied or (found is None and _has_weak_cycle(inst, mode))
+    assert tied
+    if rule == "oblivious":
+        assert cycles > 0
+
+
+def _has_weak_cycle(instance, mode) -> bool:
+    """Whether some node cycle of length at least 3 has each node weakly
+    preferring its successor over its predecessor: one exists exactly when
+    the oriented-edge digraph has a cycle, found here by Kahn's pruning."""
+    graph = instance.graph
+    states = [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
+    succ = {
+        (a, b): [(b, c) for c in graph.adjacency[b] if c != a and exact_key(instance, mode, b, c) >= exact_key(instance, mode, b, a)]
+        for a, b in states
+    }
+    indegree = {s: 0 for s in states}
+    for targets in succ.values():
+        for t in targets:
+            indegree[t] += 1
+    ready = [s for s in states if indegree[s] == 0]
+    for s in ready:
+        for t in succ[s]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                ready.append(t)
+    return len(ready) < len(states)
 
 
 def _cmp(a, b) -> int:
