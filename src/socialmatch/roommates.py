@@ -49,18 +49,22 @@ def _key_table(instance: GameInstance, mode: str) -> tuple[dict[int, int], ...]:
     return tuple({y: terms[column] for y, terms in row.items()} for row in rows)
 
 
-def _components(succ: list[list[int]]) -> list[int]:
-    """Strongly connected component label of every vertex of a digraph.
+def _components(succ: list[int], lo: list[int], hi: list[int]) -> list[int]:
+    """Strongly connected component label of every vertex of a digraph in
+    which vertex v has the successors succ[lo[v]:hi[v]].
 
-    One iterative pass of Tarjan's algorithm: an explicit stack of
-    (vertex, successor iterator) frames stands in for recursion, so the
-    depth is not bounded by the interpreter's recursion limit.
+    One iterative pass of Tarjan's algorithm: a stack of the vertices being
+    explored, each resuming at its next successor index ``at[v]``, stands in
+    for recursion, so the depth is not bounded by the interpreter's
+    recursion limit.
     """
-    n = len(succ)
+    n = len(lo)
     order = [-1] * n  # discovery index
     low = [0] * n
     comp = [-1] * n  # set when a vertex leaves the Tarjan stack
+    at = lo[:]
     stack: list[int] = []
+    calls: list[int] = []
     counter = label = 0
     for root in range(n):
         if order[root] >= 0:
@@ -68,31 +72,38 @@ def _components(succ: list[list[int]]) -> list[int]:
         order[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        frames = [(root, iter(succ[root]))]
-        while frames:
-            v, successors = frames[-1]
-            for w in successors:
-                if order[w] < 0:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    frames.append((w, iter(succ[w])))
+        calls.append(root)
+        while calls:
+            v = calls[-1]
+            i, end = at[v], hi[v]
+            w = -1
+            while i < end:
+                x = succ[i]
+                i += 1
+                if order[x] < 0:
+                    w = x
                     break
-                if comp[w] < 0 and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == order[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = label
-                        if w == v:
-                            break
-                    label += 1
+                if comp[x] < 0 and order[x] < low[v]:
+                    low[v] = order[x]
+            at[v] = i
+            if w >= 0:
+                order[w] = low[w] = counter
+                counter += 1
+                stack.append(w)
+                calls.append(w)
+                continue
+            calls.pop()
+            if calls:
+                u = calls[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+            if low[v] == order[v]:
+                while True:
+                    x = stack.pop()
+                    comp[x] = label
+                    if x == v:
+                        break
+                label += 1
     return comp
 
 
@@ -107,8 +118,9 @@ def detect_preference_cycle(instance: GameInstance, mode: str = MODE_RAW) -> Opt
     its two ends share a strongly connected component.  One Tarjan pass
     labels the components; then only the states of components with more
     than one state are scanned, in state order, for such an arc, and a BFS
-    walks back along the first one only, for the witness.  The returned witness may revisit nodes on
-    contrived instances but always satisfies the defining inequalities.
+    walks back along the first one only, for the witness.  The returned
+    witness may revisit nodes on contrived instances but always satisfies
+    the defining inequalities.
     """
     return _preference_cycle(instance, _key_table(instance, mode))
 
@@ -126,34 +138,40 @@ def _preference_cycle(instance: GameInstance, keys: tuple[dict[int, int], ...]) 
         for b in nbrs:  # so a is the next entry of b's sorted list
             twin.append(seen[b])
             seen[b] += 1
-    key: list[int] = []  # per state (b, c): the key b assigns to c
-    succ: list[list[int]] = [[]] * len(twin)
+    # key[s] is the key a assigns to b.  (a, b) -> (b, c) for every c != a
+    # that b weakly prefers to a: the successors of state s are
+    # succ[lo[s]:hi[s]], in state order, one flat list for all states.
+    key: list[int] = []
+    succ: list[int] = []
+    lo = [0] * len(twin)
+    hi = [0] * len(twin)
     for b, nbrs in enumerate(adjacency):
         kb = keys[b]
         row = [kb[c] for c in nbrs]
         key += row
         ids = range(start[b], start[b + 1])
         for t, kb_a in zip(ids, row):
-            # (a, b) -> (b, c) for every c != a that b weakly prefers to a.
-            succ[twin[t]] = [u for u, kb_c in zip(ids, row) if kb_c >= kb_a and u != t]
+            s = twin[t]  # the state (a, b), for t = (b, a)
+            lo[s] = len(succ)
+            succ += [u for u, kb_c in zip(ids, row) if kb_c >= kb_a and u != t]
+            hi[s] = len(succ)
 
-    comp = _components(succ)
+    comp = _components(succ, lo, hi)
     size = [0] * len(twin)
     for label in comp:
         size[label] += 1
-    for si, successors in enumerate(succ):
-        label = comp[si]
+    for si, label in enumerate(comp):
         if size[label] < 2:
             continue
         kb_a = key[twin[si]]
-        for ti in successors:
+        for ti in succ[lo[si] : hi[si]]:
             if comp[ti] == label and key[ti] > kb_a:
                 # BFS for a state path ti .. si; the strict arc closes si -> ti.
                 prev = {ti: -1}
                 queue = deque([ti])
                 while si not in prev:
                     x = queue.popleft()
-                    for y in succ[x]:
+                    for y in succ[lo[x] : hi[x]]:
                         if y not in prev:
                             prev[y] = x
                             queue.append(y)
@@ -189,7 +207,9 @@ def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[M
     n = instance.graph.n
     # Each live node points at its best live neighbour: the first live entry
     # of its list, sorted by (-key, id): best key first, ties to smaller id.
-    lists = [sorted(row, key=lambda y: (-row[y], y)) for row in keys]
+    # A key row runs in rising neighbour id, as verdict_table is built in
+    # edge order, and a reversed sort keeps the order of equal keys.
+    lists = [sorted(row, key=row.__getitem__, reverse=True) for row in keys]
     pos = [0] * n
     best = [lst[0] if lst else -1 for lst in lists]
     fans: list[set[int]] = [set() for _ in range(n)]  # fans[w]: live nodes whose best is w
