@@ -291,8 +291,6 @@ def gen_random(
     in 1..4 (trust instances derive rewards from their h and beta draws).
     """
     rng = random.Random(seed)
-    if reward_range[0] < 1:
-        raise InstanceError("rewards must stay positive: reward_range[0] >= 1")
     return _random_instance(rng, _random_graph(rng, n, density), reward_range, rule, alpha)
 
 
@@ -307,8 +305,6 @@ def gen_sparse(
     """Seeded random instance with exactly m edges, drawn in O(n + m) expected
     time; rewards and sharing are drawn as in ``gen_random``."""
     rng = random.Random(seed)
-    if reward_range[0] < 1:
-        raise InstanceError("rewards must stay positive: reward_range[0] >= 1")
     return _random_instance(rng, _sparse_graph(rng, n, m), reward_range, rule, alpha)
 
 
@@ -318,6 +314,8 @@ def _random_instance(
     """Rewards and the sharing rule's parameters drawn from rng, in this order, for graph."""
     n = graph.n
     lo, hi = reward_range
+    if lo < 1:
+        raise InstanceError("rewards must stay positive: reward_range[0] >= 1")
     rewards = [Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 4))) for _ in graph.edges]
 
     sharing: object

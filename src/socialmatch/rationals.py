@@ -16,10 +16,10 @@ def rat(value: int | str | Fraction) -> Fraction:
 
     Strings may be "p/q" or decimal ("0.25"); both parse exactly.  A bool
     is not a rational: JSON ``true`` must not read as 1, and "p/0" is not
-    one either (``InstanceError``).  The forms ``rat_str`` writes, an ASCII
-    integer with an optional "-" and optionally "/" and an ASCII
-    denominator, are split and read with ``int``; every other string goes
-    to ``Fraction(str)``, which gives the same value or the same error.
+    one either (``InstanceError``).  The two forms ``rat_str`` writes, "p"
+    and "p/q" in ASCII digits with an optional leading "-", are split and
+    read with ``int``; every other string goes to ``Fraction(str)``, which
+    gives the same value or the same error.
     """
     if isinstance(value, str):
         text = value.strip()
