@@ -277,11 +277,14 @@ def gen_random_ccg(
     )
 
 
+DEFAULT_REWARD_RANGE = (1, 8)
+
+
 def gen_random(
     seed: int,
     n: int,
     density: float,
-    reward_range: tuple[int, int] = (1, 8),
+    reward_range: tuple[int, int] = DEFAULT_REWARD_RANGE,
     rule: str = "equal",
     alpha: Sequence = (),
 ) -> GameInstance:
@@ -298,14 +301,14 @@ def gen_sparse(
     seed: int,
     n: int,
     m: int,
-    reward_range: tuple[int, int] = (1, 8),
     rule: str = "equal",
     alpha: Sequence = (),
 ) -> GameInstance:
     """Seeded random instance with exactly m edges, drawn in O(n + m) expected
-    time; rewards and sharing are drawn as in ``gen_random``."""
+    time; rewards and sharing are drawn as in ``gen_random`` at its default
+    reward_range."""
     rng = random.Random(seed)
-    return _random_instance(rng, _sparse_graph(rng, n, m), reward_range, rule, alpha)
+    return _random_instance(rng, _sparse_graph(rng, n, m), DEFAULT_REWARD_RANGE, rule, alpha)
 
 
 def _random_instance(

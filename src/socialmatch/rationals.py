@@ -27,9 +27,12 @@ def rat(value: int | str | Fraction) -> Fraction:
         sign = -1 if num[:1] == "-" else 1
         digits = num[1:] if sign < 0 else num
         if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            # The numerator is read first, as Fraction reads it, so two
+            # over-long parts fail on the same one.
+            p = sign * int(digits)
             q = int(den) if slash else 1
             if q:
-                return Fraction(sign * int(digits), q)
+                return Fraction(p, q)
         try:
             return Fraction(text)
         except ZeroDivisionError:

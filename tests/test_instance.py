@@ -340,10 +340,13 @@ RAT_CASES = ("3/0", "-0/5", "007/010", "+3/4", "1_000", "0.25", "1e3", " 3/4 ", 
 RAT_CASES += ("-", "3/", "", "--3", "3/-4", "3/4/5", "-3/4")
 
 
-@pytest.mark.parametrize("text", RAT_CASES + ("7" * 5000, "-" + "7" * 5000 + "/3", "3/" + "7" * 5000))
+@pytest.mark.parametrize(
+    "text", RAT_CASES + ("7" * 5000, "-" + "7" * 5000 + "/3", "3/" + "7" * 5000, "7" * 5000 + "/" + "7" * 6000)
+)
 def test_rat_matches_fraction_on_pinned_strings(text):
     # 5,000 digits is past Python's limit on converting digit strings to
-    # int, so those fail with the ValueError that Fraction gives.
+    # int, so those fail with the ValueError that Fraction gives; with both
+    # parts too long, the message names the numerator's length.
     assert _parsed(rat, text) == _parsed(_fraction_reference, text)
 
 
