@@ -567,6 +567,11 @@ def test_non_integer_node_ids_in_games_and_profiles_exit_1(tmp_path, capsys):
         code, out, err = run(capsys, "check", "--game", str(gpath), "--profile", str(ppath))
         _assert_exit_1(code, out, err, amount)
         assert err == "error: node 0 allocates to non-incident edge (1, 2)\n", amount
+    # A negative end must not wrap to node 2, which is adjacent to 1.
+    ppath.write_text(json.dumps({"alloc": [{"node": 1, "edge": [-1, 1], "amount": "1"}]}))
+    code, out, err = run(capsys, "check", "--game", str(gpath), "--profile", str(ppath))
+    _assert_exit_1(code, out, err, "negative end")
+    assert err == "error: node 1 on edge (-1, 1) is not in the game\n"
 
 
 def test_malformed_rewards_and_sharing_exit_1(tmp_path, capsys):

@@ -194,6 +194,11 @@ def test_edge_reward_rejects_non_edge():
     assert inst.edge_reward(2, 1) == 2
     with pytest.raises(InstanceError, match=r"\(0,2\) is not an edge"):
         inst.edge_reward(0, 2)
+    # A negative id must not wrap to the last node, which is adjacent to 2.
+    assert not inst.graph.has_edge(-1, 2)
+    assert not inst.graph.has_edge(0, 4)
+    with pytest.raises(InstanceError, match=r"\(-1,2\) is not an edge"):
+        inst.edge_reward(-1, 2)
 
 
 def test_compute_R_equal_is_one():
