@@ -212,14 +212,14 @@ class StrategyProfile:
                 e = normalize_edge(node_id(entry["edge"][0]), node_id(entry["edge"][1]))
                 amount = rat(entry["amount"])
                 require_known_keys(entry, ("node", "edge", "amount"), "a profile entry")
-                if not 0 <= v < game.graph.n or e not in game.graph.edge_index:
+                if not 0 <= v < game.graph.n or not game.graph.has_edge(*e):
                     raise InstanceError(f"node {v} on edge {e} is not in the game")
                 if v not in e:
                     raise InstanceError(f"node {v} allocates to non-incident edge {e}")
                 if (v, e) in seen:
                     raise InstanceError(f"node {v} on edge {e} is listed twice")
                 seen.add((v, e))
-                amounts[game.graph.edge_index[e]][e.index(v)] = amount
+                amounts[game.graph.arc_edge[game.graph.arc[e[0]][e[1]]]][e.index(v)] = amount
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise InstanceError(f"malformed profile document: {exc}") from exc
         return StrategyProfile.build(game, amounts)
@@ -299,7 +299,7 @@ def saturated_profile(game: ContributionGame, matching: Matching) -> StrategyPro
         incident = game.graph.incident_edges[v]
         w = matching.partner(v)
         if w is not None:
-            matched = game.graph.edge_index[normalize_edge(v, w)]
+            matched = game.graph.arc_edge[game.graph.arc[v][w]]
             rows.append([game.budgets[v] if ei == matched else ZERO for ei in incident])
         elif game.mode == EXACT and game.budgets[v] > 0:
             rows.append([game.budgets[v] / len(incident)] * len(incident))
@@ -601,14 +601,16 @@ class _Checker:
             yield from self._pair_moves("bilateral", u, v, ei, rows_u, rows_v)
         # Exact mode: pairs moving their full budgets to two distinct edges.
         if game.mode == EXACT:
+            arc, arc_edge = game.graph.arc, game.graph.arc_edge
+            full = [[self._concentrate(x, j) for j in range(len(incident[x]))] for x in range(n)]
             for u in range(n):
+                if self.budgets[u] == 0:
+                    continue
                 for v in range(u + 1, n):
-                    if self.budgets[u] == 0 or self.budgets[v] == 0:
+                    if self.budgets[v] == 0:
                         continue
-                    shared = game.graph.edge_index.get((u, v))
-                    rows_u = [self._concentrate(u, j) for j in range(len(incident[u]))]
-                    rows_v = [self._concentrate(v, j) for j in range(len(incident[v]))]
-                    yield from self._pair_moves("pair-split", u, v, shared, rows_u, rows_v)
+                    shared = arc_edge[arc[u][v]] if v in arc[u] else None
+                    yield from self._pair_moves("pair-split", u, v, shared, full[u], full[v])
 
     def check(self) -> Optional[DeviationWitness]:
         for kind, nodes, rows, changes in self.moves():
@@ -668,7 +670,7 @@ def detect_forbidden_edges(game: ContributionGame, instance: Optional[GameInstan
         instance = corresponding_matching_game(game)
 
     def best_pendant(node: int, excluded: int) -> Optional[Fraction]:
-        pendants = [x for x in game.graph.adjacency[node] if x != excluded and game.graph.degree(x) == 1]
+        pendants = [x for x in game.graph.adjacency[node] if x != excluded and len(game.graph.adjacency[x]) == 1]
         return max((instance.edge_reward(node, x) for x in pendants), default=None)
 
     a = game.friendship.alpha1

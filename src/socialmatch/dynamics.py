@@ -138,9 +138,8 @@ def _run(
         w, z = partner[u], partner[v]
         kind = (RELAXED_BISWIVEL if relaxed else BISWIVEL) if w is not None and z is not None else SWIVEL
         dev = _deviation(partner, u, v, kind)
-        for e in dev.removed:
-            value -= rewards[graph.edge_index[e]]
-            a, b = e
+        for a, b in dev.removed:
+            value -= instance.edge_reward(a, b)
             partner[a] = partner[b] = None
         value += rewards[i]
         partner[u], partner[v] = v, u

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence, Union
 
 from .rationals import InstanceError, rat, rat_array, rat_str
@@ -85,10 +86,6 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -105,11 +102,34 @@ class Graph:
             inc[v].append(i)
         return tuple(tuple(a) for a in inc)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+    @cached_property
+    def start(self) -> list[int]:
+        """Arcs are the edges in both orientations: arc ``start[x] + j`` is (x, adjacency[x][j])."""
+        return list(accumulate(map(len, self.adjacency), initial=0))
+
+    @cached_property
+    def head(self) -> list[int]:
+        """Per arc (x, y), its head y."""
+        return [y for nbrs in self.adjacency for y in nbrs]
+
+    @cached_property
+    def arc(self) -> tuple[dict[int, int], ...]:
+        """Per node x, per neighbour y: the id of arc (x, y)."""
+        ids = iter(range(2 * len(self.edges)))  # zip stops at a row's end before taking an id
+        return tuple([dict(zip(nbrs, ids)) for nbrs in self.adjacency])
+
+    @cached_property
+    def twin(self) -> list[int]:
+        """Per arc, the id of its reverse, which is larger exactly when the arc runs from its smaller end."""
+        return [self.arc[y][x] for x, nbrs in enumerate(self.adjacency) for y in nbrs]
+
+    @cached_property
+    def arc_edge(self) -> list[int]:
+        """Per arc, its edge's index in ``edges``, whose order meets a node's neighbours in rising id."""
+        return [i for inc in self.incident_edges for i in inc]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edge_index
+        return 0 <= u < self.n and v in self.arc[u]
 
 
 @dataclass(frozen=True)
@@ -340,16 +360,15 @@ class GameInstance:
         return nums, dens
 
     @cached_property
-    def verdict_table(self) -> tuple[int, tuple[dict[int, tuple[int, int, int, int, int]], ...]]:
-        """(S, table): the verdict terms of every oriented edge as integers over one scale S.
+    def verdict_table(self) -> tuple[int, tuple[list[int], list[int], list[int], list[int], list[int]]]:
+        """(S, columns): the verdict terms of every arc, five ``int`` lists by arc id.
 
-        Per node x, per neighbour y, with e_x and e_y the endpoint rewards on
-        xy: (stake of x, e_x, alpha1 e_x, alpha1 e_y, alpha2 e_y), each
-        times S.  S is the lcm of all endpoint rewards' denominators times
-        the lcm of alpha1's and alpha2's, so every entry is an integer.  A
-        positive common factor keeps every strict inequality and every tie
-        among the entries and their sums; the rational value of an entry is
-        ``Fraction(entry, S)``.  Built on first use with ``int`` operations.
+        For arc (x, y), with e_x and e_y the endpoint rewards on xy: the
+        stake of x (e_x + alpha1 e_y), e_x, alpha1 e_x, alpha1 e_y and
+        alpha2 e_y, each times S, the lcm of all endpoint rewards'
+        denominators times the lcm of alpha1's and alpha2's.  A positive
+        common factor keeps every strict inequality and every tie among the
+        entries and their sums; an entry's value is ``Fraction(entry, S)``.
         """
         nums, dens = self._endpoint_ratios
         unit = math.lcm(*dens)
@@ -358,12 +377,19 @@ class GameInstance:
         den = math.lcm(a1.denominator, a2.denominator)
         c1 = a1.numerator * (den // a1.denominator)
         c2 = a2.numerator * (den // a2.denominator)
-        table: tuple[dict, ...] = tuple({} for _ in range(self.graph.n))
+        arc = self.graph.arc
+        ex, ey = [0] * len(scaled), [0] * len(scaled)  # per arc (x, y): e_x and e_y
         for k, (u, v) in enumerate(self.graph.edges):
-            eu, ev = scaled[2 * k], scaled[2 * k + 1]
-            table[u][v] = (eu * den + c1 * ev, eu * den, c1 * eu, c1 * ev, c2 * ev)
-            table[v][u] = (ev * den + c1 * eu, ev * den, c1 * ev, c1 * eu, c2 * eu)
-        return unit * den, table
+            a, b = arc[u][v], arc[v][u]
+            ex[a] = ey[b] = scaled[2 * k]
+            ex[b] = ey[a] = scaled[2 * k + 1]
+        return unit * den, (
+            [x * den + c1 * y for x, y in zip(ex, ey)],
+            [x * den for x in ex],
+            [c1 * x for x in ex],
+            [c1 * y for y in ey],
+            [c2 * y for y in ey],
+        )
 
     @cached_property
     def share_ratio(self) -> Optional[Fraction]:
@@ -378,10 +404,10 @@ class GameInstance:
     # -- small accessors ---------------------------------------------------
 
     def edge_reward(self, u: int, v: int) -> Fraction:
-        try:
-            return self.rewards[self.graph.edge_index[normalize_edge(u, v)]]
-        except KeyError:
-            raise InstanceError(f"({u},{v}) is not an edge") from None
+        graph = self.graph
+        if not graph.has_edge(u, v):
+            raise InstanceError(f"({u},{v}) is not an edge")
+        return self.rewards[graph.arc_edge[graph.arc[u][v]]]
 
 
 # -- the public operation surface ------------------------------------------

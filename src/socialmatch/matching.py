@@ -157,8 +157,8 @@ def node_reward(instance: GameInstance, matching: Matching, v: int) -> Fraction:
     w = matching.partner(v)
     if w is None:
         return ZERO
-    scale, table = instance.verdict_table
-    return Fraction(table[v][w][1], scale)
+    scale, columns = instance.verdict_table
+    return Fraction(columns[1][instance.graph.arc[v][w]], scale)
 
 
 def perceived_utility(instance: GameInstance, matching: Matching, v: int) -> Fraction:
@@ -178,10 +178,8 @@ def matching_value(instance: GameInstance, matching: Matching) -> Fraction:
     rewards under equal sharing sum to twice it, which rescales every ratio
     identically.
     """
-    total = ZERO
-    for u, v in matching.pairs:
-        total += instance.rewards[instance.graph.edge_index[(u, v)]]
-    return total
+    arc, arc_edge = instance.graph.arc, instance.graph.arc_edge
+    return sum((instance.rewards[arc_edge[arc[u][v]]] for u, v in matching.pairs), ZERO)
 
 
 def _pair_check(
@@ -201,29 +199,32 @@ def _pair_check(
     where p_x, p_y are the current partners, a term is dropped when its
     partner is None, and c is alpha1 if p_y is adjacent to x, else alpha2
     (x-y-p_y is a path; alpha2 for a relaxed both-matched pair).  Both
-    sides are ``int``s from ``GameInstance.verdict_table``, over its one
-    scale S.  The verdict reads only the partners of u and v.  Scans stop
-    at the first side that fails; when ``witness`` is a list, both sides
+    sides are ``int``s over one scale S, read from ``verdict_table``'s
+    columns by arc id, and only the partners of u and v are read.  Scans
+    stop at u's side when it fails; when ``witness`` is a list, both sides
     are evaluated and appended to it as Conditions, divided back by S.
     Never call this on a pair matched to each other.
     """
-    scale, table = instance.verdict_table
-    blocking = True
-    for x, y in ((u, v), (v, u)):
-        px = partner[x]
-        py = partner[y]
-        row = table[x]
-        lhs = row[y][0]
-        rhs = 0 if px is None else row[px][0]
-        if py is not None:
-            _, _, a1_own, a1_other, a2_other = table[y][py]
-            rhs += a1_own + (a2_other if (relaxed and px is not None) or py not in row else a1_other)
-        if witness is not None:
-            witness.append(Condition(node=x, lhs=Fraction(lhs, scale), rhs=Fraction(rhs, scale)))
-            blocking = blocking and lhs > rhs
-        elif lhs <= rhs:
-            return False
-    return blocking
+    scale, (stake, _, a1_own, a1_other, a2_other) = instance.verdict_table
+    pu, pv = partner[u], partner[v]
+    ru, rv = instance.graph.arc[u], instance.graph.arc[v]
+    # The two sides are written out: this is the innermost call of every scan.
+    lhs_u = stake[ru[v]]
+    rhs_u = 0 if pu is None else stake[ru[pu]]
+    if pv is not None:
+        k = rv[pv]
+        rhs_u += a1_own[k] + (a2_other[k] if (relaxed and pu is not None) or pv not in ru else a1_other[k])
+    if witness is None and lhs_u <= rhs_u:
+        return False
+    lhs_v = stake[rv[u]]
+    rhs_v = 0 if pv is None else stake[rv[pv]]
+    if pu is not None:
+        k = ru[pu]
+        rhs_v += a1_own[k] + (a2_other[k] if (relaxed and pv is not None) or pu not in rv else a1_other[k])
+    if witness is not None:
+        witness.append(Condition(node=u, lhs=Fraction(lhs_u, scale), rhs=Fraction(rhs_u, scale)))
+        witness.append(Condition(node=v, lhs=Fraction(lhs_v, scale), rhs=Fraction(rhs_v, scale)))
+    return lhs_u > rhs_u and lhs_v > rhs_v
 
 
 def _verdict(instance: GameInstance, matching: Matching, u: int, v: int, relaxed: bool) -> PairVerdict:

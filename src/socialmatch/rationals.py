@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -55,9 +56,11 @@ def rat_array(value: object, field: str) -> tuple[Fraction, ...]:
 
 def rat_str(value: Fraction) -> str:
     """Render a rational as "p/q" (or "p" for integers); parses back exactly."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    p, q = value.numerator, value.denominator
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # past Python's limit on int-to-str digits: Decimal writes any int
+        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
 
 
 def rescale(values: Iterable[Fraction]) -> tuple[int, list[int]]:

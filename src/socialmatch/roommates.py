@@ -9,7 +9,6 @@ certifies stability under friendship.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from collections import deque
 from typing import Optional
 
@@ -29,24 +28,14 @@ class PreferenceCycleError(ValueError):
         self.cycle = cycle
 
 
-def _key_table(instance: GameInstance, mode: str) -> tuple[dict[int, int], ...]:
-    """Per node x, per neighbour y: the key x assigns to y, as an integer.
-
-    The key is read from ``GameInstance.verdict_table``: the endpoint
-    reward (raw) or the stake (q).  Those equal the share and the q-value,
-    or twice them under equal sharing, on every edge, times the table's
-    one positive scale.  The preference machinery only compares keys, with
-    each other and with 0, and a positive factor common to all of them
-    keeps every strict order, every tie and every sign.
-    """
-    if mode == MODE_RAW:
-        column = 1  # own endpoint reward
-    elif mode == MODE_Q:
-        column = 0  # stake
-    else:
+def _keys(instance: GameInstance, mode: str) -> list[int]:
+    """Per arc (x, y), the key x assigns to y: the column of ``verdict_table``
+    that holds x's endpoint reward (raw) or stake (q).  Those are the share
+    and the q-value, or twice them under equal sharing, times one positive
+    scale, which keeps every strict order, tie and sign."""
+    if mode not in (MODE_RAW, MODE_Q):
         raise ValueError(f"unknown preference mode {mode!r}")
-    _, rows = instance.verdict_table
-    return tuple({y: terms[column] for y, terms in row.items()} for row in rows)
+    return instance.verdict_table[1][1 if mode == MODE_RAW else 0]
 
 
 def _components(succ: list[int], lo: list[int], hi: list[int]) -> list[int]:
@@ -122,33 +111,14 @@ def detect_preference_cycle(instance: GameInstance, mode: str = MODE_RAW) -> Opt
     witness may revisit nodes on contrived instances but always satisfies
     the defining inequalities.
     """
-    return _preference_cycle(instance, _key_table(instance, mode))
-
-
-def _preference_cycle(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> Optional[tuple[int, ...]]:
-    adjacency = instance.graph.adjacency
-    # State (a, b) has id start[a] + the position of b in adjacency[a]: the
-    # sorted order of the oriented edges.  twin[s] is the id of s reversed.
-    start = [0]
-    for nbrs in adjacency:
-        start.append(start[-1] + len(nbrs))
-    seen = start[:-1]  # per node b, the id of b's next state to be twinned
-    twin = []
-    for nbrs in adjacency:  # per node a, in rising order
-        for b in nbrs:  # so a is the next entry of b's sorted list
-            twin.append(seen[b])
-            seen[b] += 1
-    # key[s] is the key a assigns to b.  (a, b) -> (b, c) for every c != a
-    # that b weakly prefers to a: the successors of state s are
-    # succ[lo[s]:hi[s]], in state order, one flat list for all states.
-    key: list[int] = []
+    # The states are the arcs of ``Graph``.  (a, b) -> (b, c) for every c != a that b weakly
+    # prefers to a: the successors of state s are succ[lo[s]:hi[s]], one flat list.
+    key = _keys(instance, mode)
+    start, head, twin = instance.graph.start, instance.graph.head, instance.graph.twin
     succ: list[int] = []
-    lo = [0] * len(twin)
-    hi = [0] * len(twin)
-    for b, nbrs in enumerate(adjacency):
-        kb = keys[b]
-        row = [kb[c] for c in nbrs]
-        key += row
+    lo, hi = [0] * len(twin), [0] * len(twin)
+    for b in range(instance.graph.n):
+        row = key[start[b] : start[b + 1]]
         ids = range(start[b], start[b + 1])
         for t, kb_a in zip(ids, row):
             s = twin[t]  # the state (a, b), for t = (b, a)
@@ -178,7 +148,7 @@ def _preference_cycle(instance: GameInstance, keys: tuple[dict[int, int], ...]) 
                 back = [si]
                 while prev[back[-1]] != -1:
                     back.append(prev[back[-1]])
-                return tuple(bisect_right(start, i) - 1 for i in reversed(back))
+                return tuple(head[twin[i]] for i in reversed(back))
     return None
 
 
@@ -195,33 +165,34 @@ def greedy_mutual_best(instance: GameInstance, mode: str = MODE_RAW) -> Matching
     forward, so all extractions together read each list entry once; each
     node looked at again costs one heap push, O(log |V|).
     """
-    return _greedy(instance, _key_table(instance, mode))[0]
+    return _greedy(instance, mode)[0]
 
 
-def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[Matching, list[int]]:
+def _greedy(instance: GameInstance, mode: str) -> tuple[Matching, list[int]]:
     """(matching, scans): per extracted pair, the edges its extraction
     touched.  Each edge is touched at most once, so the scans sum to at most |E|."""
-    cycle = _preference_cycle(instance, keys)
+    cycle = detect_preference_cycle(instance, mode)
     if cycle is not None:
         raise PreferenceCycleError(cycle)
-    n = instance.graph.n
-    # Each live node points at its best live neighbour: the first live entry
-    # of its list, sorted by (-key, id): best key first, ties to smaller id.
-    # A key row runs in rising neighbour id, as verdict_table is built in
-    # edge order, and a reversed sort keeps the order of equal keys.
-    lists = [sorted(row, key=row.__getitem__, reverse=True) for row in keys]
+    key = _keys(instance, mode)
+    graph = instance.graph
+    n, start, head, twin = graph.n, graph.start, graph.head, graph.twin
+    # Each live node v points at its best live neighbour by best[v], the first
+    # arc of its list with a live head.  A list holds v's arcs sorted by
+    # (-key, head): a reversed sort keeps the rising heads of equal keys.
+    lists = [sorted(range(start[x], start[x + 1]), key=key.__getitem__, reverse=True) for x in range(n)]
     pos = [0] * n
     best = [lst[0] if lst else -1 for lst in lists]
     fans: list[set[int]] = [set() for _ in range(n)]  # fans[w]: live nodes whose best is w
-    for v, b in enumerate(best):
-        if b >= 0:
-            fans[b].add(v)
+    for v, a in enumerate(best):
+        if a >= 0:
+            fans[head[a]].add(v)
     alive = [True] * n
 
     def ready(v: int) -> bool:
         # v and its best b are mutually most preferred: v ties b's best key.
-        b = best[v]
-        return b >= 0 and keys[b][v] == keys[b][best[b]]
+        a = best[v]
+        return a >= 0 and key[twin[a]] == key[best[head[a]]]
 
     # Every ready node is on the heap; an entry that stopped being ready is
     # dropped when popped.  A ready node stays ready until it or its best
@@ -233,23 +204,23 @@ def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[M
         u = heapq.heappop(heap)
         if not alive[u] or not ready(u):
             continue
-        b = best[u]
+        b = head[best[u]]
         pairs.append((u, b))
         alive[u] = alive[b] = False
         fans[b].discard(u)
-        fans[best[b]].discard(b)
+        fans[head[best[b]]].discard(b)
         moved = fans[u] | fans[b]  # live nodes whose best just left
         touched = 1  # the pair's edge, then each list entry a pointer passes
         recheck = set(moved)
         for v in moved:
             lst, p = lists[v], pos[v]
-            while p < len(lst) and not alive[lst[p]]:
+            while p < len(lst) and not alive[head[lst[p]]]:
                 p += 1
             touched += p - pos[v]
             pos[v] = p
             best[v] = lst[p] if p < len(lst) else -1
             if best[v] >= 0:
-                fans[best[v]].add(v)
+                fans[head[best[v]]].add(v)
             recheck |= fans[v]
         for v in recheck:
             if ready(v):
@@ -260,20 +231,17 @@ def _greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[M
     return Matching.of(n, pairs), scans
 
 
-def _srp_stable(instance: GameInstance, keys: tuple[dict[int, int], ...], matching: Matching) -> bool:
-    """Stability in the pure preference-list sense of ``keys``: a pair blocks
+def _srp_stable(instance: GameInstance, key: list[int], matching: Matching) -> bool:
+    """Stability in the pure preference-list sense of ``key``: a pair blocks
     when both sides strictly prefer each other over their current situation,
     and being unmatched has key zero."""
-    partner = matching.partner_map
-    for u, v in instance.graph.edges:
-        pu, pv = partner[u], partner[v]
-        if pu == v:
-            continue
-        if keys[u][v] <= (0 if pu is None else keys[u][pu]):
-            continue
-        if keys[v][u] > (0 if pv is None else keys[v][pv]):
-            return False
-    return True
+    graph = instance.graph
+    held = [0 if p is None else key[graph.arc[x][p]] for x, p in enumerate(matching.partner_map)]
+    return not any(
+        key[a] > held[x] and key[graph.twin[a]] > held[y]
+        for x, nbrs in enumerate(graph.adjacency)
+        for a, y in enumerate(nbrs, graph.start[x])
+    )
 
 
 def solve_srp_q(
@@ -287,15 +255,14 @@ def solve_srp_q(
     None means the reduction has no stable matching.
     """
     require_max_n(max_n)
-    keys = _key_table(instance, MODE_Q)
     try:
-        result, _ = _greedy(instance, keys)
+        result, _ = _greedy(instance, MODE_Q)
     except PreferenceCycleError:
         result = None
         for m in sorted(
             enumerate_matchings(instance.graph, max_n=max_n), key=lambda m: m.sorted_pairs()
         ):
-            if _srp_stable(instance, keys, m):
+            if _srp_stable(instance, _keys(instance, MODE_Q), m):
                 result = m
                 break
         if result is None:

