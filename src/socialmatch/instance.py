@@ -121,7 +121,8 @@ class Graph:
     @cached_property
     def twin(self) -> list[int]:
         """Per arc, the id of its reverse, which is larger exactly when the arc runs from its smaller end."""
-        return [self.arc[y][x] for x, nbrs in enumerate(self.adjacency) for y in nbrs]
+        arc = self.arc
+        return [arc[y][x] for x, nbrs in enumerate(self.adjacency) for y in nbrs]
 
     @cached_property
     def arc_edge(self) -> list[int]:
